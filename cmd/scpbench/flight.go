@@ -20,8 +20,8 @@ type flightReport struct {
 	Experiment        string  `json:"experiment"`
 	Refreshes         int     `json:"refreshes"`
 	Reps              int     `json:"reps"`
-	DetachedNs        int64   `json:"detached_ns"`        // total loop time with the recorder detached
-	RecordedNs        int64   `json:"recorded_ns"`        // total loop time with the recorder attached
+	DetachedNs        int64   `json:"detached_ns"`        // total loop time with the stream detached
+	RecordedNs        int64   `json:"recorded_ns"`        // total loop time publishing on the stream
 	OverheadFrac      float64 `json:"overhead_frac"`      // (recorded-detached)/detached
 	RetainedEvents    int     `json:"retained_events"`    // lifecycle events in the retention window afterwards
 	RetainedSpans     int     `json:"retained_spans"`     // spans in the retention window afterwards
@@ -31,10 +31,12 @@ type flightReport struct {
 
 // expFlight is the flight-recorder experiment: on one warmed, traced
 // session it compares the cold suggestion-refresh loop with the
-// always-on recorder detached against the same loop with the recorder
-// attached (observing every span, decision entry, and metric snapshot),
-// to bound the "always-on" cost. Honors -json, -bench-out, and
-// -overhead-budget; the ISSUE budget is 2%.
+// workspace's event stream detached (no span, decision, stage, or
+// quality event is published anywhere) against the same loop publishing
+// on its stream — ring retention, SLO windows, the live span feed, and
+// the recorder's trigger rules and metric snapshots — to bound the
+// "always-on" cost. Honors -json, -bench-out, and -overhead-budget; the
+// budget is 2%.
 func expFlight() error {
 	sys, err := pipelineSetup(true) // traced, so spans flow into the recorder
 	if err != nil {
@@ -49,6 +51,7 @@ func expFlight() error {
 	if rec == nil {
 		return fmt.Errorf("demo system has no flight recorder")
 	}
+	stream := sys.Workspace.Stream()
 	if _, err := pipelineLoop(sys); err != nil { // warmup: fill the service cache
 		return err
 	}
@@ -59,13 +62,13 @@ func expFlight() error {
 	// recording ever costs).
 	var detached, recorded time.Duration
 	for r := 0; r < flightReps; r++ {
-		sys.Workspace.SetFlight(nil) // control arm: recorder detached, every feed no-ops
+		sys.Workspace.SetStream(nil) // control arm: stream detached, every publish no-ops
 		d, err := pipelineLoop(sys)
 		if err != nil {
 			return err
 		}
 		detached += d
-		sys.Workspace.SetFlight(rec)
+		sys.Workspace.SetStream(stream)
 		d, err = pipelineLoop(sys)
 		if err != nil {
 			return err

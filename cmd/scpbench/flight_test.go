@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"copycat/internal/obs"
 	"copycat/internal/obs/flight"
 )
 
@@ -16,9 +17,11 @@ import (
 // breaker transition, and the session.
 func TestAnalyzeIncidentRendersBundle(t *testing.T) {
 	dir := t.TempDir()
-	clock := time.Unix(1_000, 0)
-	rec := flight.New(flight.Config{Dir: dir, Clock: func() time.Time { return clock }})
-	rec.RecordEvent(flight.EventBreaker, "s7", "", "geocoder: closed -> open")
+	clock := obs.NewVirtualClock()
+	clock.Advance(1_000 * time.Second)
+	stream := obs.NewStream(clock)
+	rec := flight.New(stream, flight.Config{Dir: dir})
+	stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventBreaker, Session: "s7", Detail: "geocoder: closed -> half-open"})
 	id, ok := rec.Trigger(flight.TriggerBreakerOpen, "geocoder tripped", "s7", "acme")
 	if !ok {
 		t.Fatal("trigger should capture")
@@ -33,7 +36,7 @@ func TestAnalyzeIncidentRendersBundle(t *testing.T) {
 		"incident " + id,
 		"trigger   breaker.open — geocoder tripped",
 		"session   s7 (tenant acme)",
-		"closed -> open",
+		"closed -> half-open",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("analysis missing %q:\n%s", want, out)

@@ -27,7 +27,6 @@ package copycat
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -209,11 +208,12 @@ type System struct {
 	Types     *TypeLibrary
 	// World is non-nil for demo systems built with NewDemoSystem.
 	World *World
-	// Clock is the virtual clock driving injected latency, backoff, and
-	// breaker cooldowns when the demo system was built with a positive
-	// FaultRate; nil otherwise. Its elapsed time is the experiment's
-	// simulated latency.
-	Clock *resilience.VirtualClock
+	// Clock is the virtual clock the system runs on: the one driving
+	// injected latency, backoff, and breaker cooldowns when the demo
+	// system was built with a positive FaultRate, or a host's virtual
+	// SessionConfig.Clock; nil on the wall clock. Its elapsed time is the
+	// experiment's simulated latency.
+	Clock *obs.VirtualClock
 	// Session is the handle owning this system's mutable state — a
 	// standalone handle for NewSystem/NewDemoSystem, a managed one for
 	// systems attached through a Host.
@@ -230,7 +230,7 @@ func systemFor(s *Session, world *World) *System {
 		World:     world,
 		Session:   s,
 	}
-	if vc, ok := st.Workspace.Clock.(*resilience.VirtualClock); ok {
+	if vc, ok := st.Workspace.Clock().(*obs.VirtualClock); ok {
 		sys.Clock = vc
 	}
 	return sys
@@ -256,9 +256,9 @@ func DefaultWorldConfig() WorldConfig { return webworld.DefaultConfig() }
 func newDemoState(w *webworld.World, cfg WorldConfig) *session.State {
 	cat := catalog.New()
 	svcs := services.Builtin(w)
-	var clock *resilience.VirtualClock
+	var clock *obs.VirtualClock
 	if cfg.FaultRate > 0 {
-		clock = resilience.NewVirtualClock()
+		clock = obs.NewVirtualClock()
 		seed := cfg.FaultSeed
 		if seed == 0 {
 			seed = cfg.Seed
@@ -287,34 +287,11 @@ func newDemoState(w *webworld.World, cfg WorldConfig) *session.State {
 		policy.Seed = seed
 		policy.Clock = clock
 		ws.Resilience = resilience.NewCaller(policy, resilience.DefaultBreakerConfig())
-		wireBreakerIncidents(ws)
-	}
-	if clock != nil {
 		// Stage latencies and traces run on the same virtual clock as the
 		// injected faults, keeping the whole session deterministic.
-		ws.Clock = clock
+		ws.SetClock(clock)
 	}
 	return &session.State{Workspace: ws, Catalog: cat, Types: types}
-}
-
-// wireBreakerIncidents points the resilience caller's breaker
-// transitions at the workspace's flight recorder: every transition
-// becomes a lifecycle event in the retained timeline, and a breaker
-// opening triggers an incident capture. The closure reads ws.Flight()
-// per transition, so a session manager that later swaps in the shared
-// host recorder (SetFlight) redirects the feed too.
-func wireBreakerIncidents(ws *Workspace) {
-	if ws.Resilience == nil {
-		return
-	}
-	ws.Resilience.SetBreakerTransitionHook(func(service string, from, to resilience.BreakerState) {
-		rec := ws.Flight()
-		detail := fmt.Sprintf("%s: %s -> %s", service, from, to)
-		rec.RecordEvent(flight.EventBreaker, ws.SessionID, "", detail)
-		if to == resilience.BreakerOpen {
-			rec.Trigger(flight.TriggerBreakerOpen, detail, ws.SessionID, "")
-		}
-	})
 }
 
 // NewDemoSystem creates a CopyCat installation wired to a synthetic
@@ -411,8 +388,7 @@ func (h *Host) Attach(id string) (*System, error) {
 func (h *Host) Serve(ctx context.Context, addr string) (*TelemetryServer, error) {
 	srv := serve.New(serve.Config{
 		Metrics:   h.Manager.MetricsSnapshot,
-		SLO:       h.Manager.SLO(),
-		Ring:      h.Manager.Ring(),
+		Stream:    h.Manager.Stream(),
 		Host:      h.Manager,
 		Decisions: h.Manager.Decisions(),
 		Incidents: h.Manager.Flight(),
@@ -471,7 +447,7 @@ func (s *System) ResetMetrics() {
 // status: error rates and burn rates over the rolling fast/slow
 // windows, and whether either burn alert is firing.
 func (s *System) SLO() SLOStatus {
-	return s.Workspace.SLO.Status()
+	return s.Workspace.SLO()
 }
 
 // Breakers snapshots every service circuit breaker the resilience
@@ -507,8 +483,7 @@ func (s *System) Serve(ctx context.Context, addr string) (*TelemetryServer, erro
 	srv := serve.New(serve.Config{
 		Metrics:   s.Workspace.MetricsSnapshot,
 		Breakers:  s.Workspace.Resilience.Status,
-		SLO:       s.Workspace.SLO,
-		Ring:      s.Workspace.SpanRing(),
+		Stream:    s.Workspace.Stream(),
 		Decisions: s.Workspace.Decisions,
 		Incidents: s.Workspace.Flight(),
 		Quality: func() serve.QualityReport {

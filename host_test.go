@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"copycat"
+	"copycat/internal/obs"
 	"copycat/internal/obs/serve"
 )
 
@@ -131,7 +132,10 @@ func churnFleet(t *testing.T, host *copycat.Host, ids []string, workers, ops int
 // requireReady demands a 200 from /readyz at quiescence; the
 // acceptance-scale fleet passes false because sustained reload churn
 // can legitimately trip the fast-burn SLO alert, in which case the
-// correct readiness answer is a shedding 503, not a 200.
+// correct readiness answer is a shedding 503, not a 200. The host runs
+// on a virtual clock, and so do its hosted workspaces (they have no
+// clock of their own), so the SLO windows see the fleet's refreshes
+// and never the wall-clock latency of a loaded test machine.
 func runFleet(t *testing.T, sessions, ops int, budget int64, requireReady bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -139,6 +143,7 @@ func runFleet(t *testing.T, sessions, ops int, budget int64, requireReady bool) 
 	host := copycat.NewDemoHost(hostWorldConfig(), copycat.SessionConfig{
 		MemoryBudget:  budget,
 		EnableTracing: true,
+		Clock:         obs.NewVirtualClock(),
 	})
 	srv, err := host.Serve(ctx, "127.0.0.1:0")
 	if err != nil {

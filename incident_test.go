@@ -5,17 +5,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"copycat/internal/obs/flight"
+	"copycat/internal/resilience"
 )
 
 // TestFlightRecorderCapturesBreakerIncident is the flight-recorder
 // acceptance test: on a deterministic virtual clock, injected service
 // faults open a circuit breaker, the breaker-open trigger captures
-// exactly one bundle to disk, a re-trip inside the cooldown window is
-// suppressed (no second bundle), and the rendered post-mortem names the
-// breaker transition, the degraded spans, and the affected session.
+// exactly one bundle to disk, a second breaker opening inside the
+// capture cooldown is suppressed (no second bundle), and the rendered
+// post-mortem names the breaker transition, the degraded spans, and the
+// affected session.
 func TestFlightRecorderCapturesBreakerIncident(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultWorldConfig()
@@ -24,16 +25,13 @@ func TestFlightRecorderCapturesBreakerIncident(t *testing.T) {
 	sys := NewDemoSystem(cfg)
 	sys.EnableTracing() // spans feed the recorder's timeline
 	ws := sys.Workspace
-	ws.SessionID = "sess-demo"
+	// Attribute the session's events to a named session, as a host does.
+	ws.SetStream(ws.Stream().For("sess-demo", ""))
 	rec := sys.FlightRecorder()
 	if rec == nil {
 		t.Fatal("demo system has no flight recorder")
 	}
 	rec.SetDir(dir)
-	// A long cooldown makes the exactly-once window unambiguous: every
-	// breaker-open after the first must be suppressed for the rest of the
-	// test.
-	rec.SetCooldown(10 * time.Minute)
 
 	// Drive the faulty pipeline until a breaker opens.
 	browser := sys.OpenBrowser(sys.ShelterSite(StyleTable))
@@ -91,19 +89,16 @@ func TestFlightRecorderCapturesBreakerIncident(t *testing.T) {
 		t.Fatalf("disk holds %d breaker-open bundles, want exactly 1: %v", len(files), files)
 	}
 
-	// Re-trip the same breaker inside the capture cooldown: after the
-	// breaker's own 30s cooldown it half-opens on the next Allow, and the
-	// probe's failure re-opens it — a new transition to open, which the
+	// Open a second breaker inside the capture cooldown (which is per
+	// trigger kind, not per service): a new transition to open, which the
 	// recorder must suppress, not double-capture.
 	suppressedBefore := rec.Suppressed()
-	sys.Clock.Advance(31 * time.Second)
-	b := ws.Resilience.Breaker(openService)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("breaker should half-open after its cooldown: %v", err)
+	b := ws.Resilience.Breaker("second-service")
+	for b.State() != resilience.BreakerOpen {
+		b.Failure()
 	}
-	b.Failure()
 	if got := breakerIncidents(); len(got) != 1 {
-		t.Fatalf("re-trip inside cooldown captured again: %d bundles", len(got))
+		t.Fatalf("breaker open inside cooldown captured again: %d bundles", len(got))
 	}
 	if rec.Suppressed() <= suppressedBefore {
 		t.Errorf("re-trip should increment incidents.suppressed (before=%d after=%d)",
@@ -144,20 +139,21 @@ func TestFlightRecorderCapturesBreakerIncident(t *testing.T) {
 }
 
 // TestFlightRecorderDetachIsInert is the overhead experiment's control
-// arm: SetFlight(nil) detaches the recorder, every feed no-ops, and
-// re-attaching resumes recording.
+// arm: SetStream(nil) detaches the workspace's stream, every publish
+// no-ops, and re-attaching resumes recording.
 func TestFlightRecorderDetachIsInert(t *testing.T) {
 	sys := NewDemoSystem(DefaultWorldConfig())
 	sys.EnableTracing()
 	ws := sys.Workspace
 	rec := sys.FlightRecorder()
-	rec.SetCooldown(time.Millisecond)
+	stream := ws.Stream()
 
-	ws.SetFlight(nil)
+	ws.SetStream(nil)
 	if got := sys.FlightRecorder(); got != nil {
 		t.Fatal("detach should leave no recorder on the workspace")
 	}
-	// Triggers through the breaker wiring hit the nil recorder and no-op.
+	// Spans, decisions, and breaker transitions all publish on the nil
+	// stream and no-op.
 	_, _, spansBefore := rec.Retained()
 	browser := sys.OpenBrowser(sys.ShelterSite(StyleTable))
 	s0 := sys.World.Shelters[0]
@@ -172,7 +168,7 @@ func TestFlightRecorderDetachIsInert(t *testing.T) {
 		t.Errorf("detached recorder still received spans (%d -> %d)", spansBefore, got)
 	}
 
-	ws.SetFlight(rec)
+	ws.SetStream(stream)
 	if err := ws.AcceptRows(); err != nil {
 		t.Fatal(err)
 	}

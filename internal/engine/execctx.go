@@ -269,7 +269,7 @@ type ExecCtx struct {
 	metrics   *obs.Registry    // nil = no latency histograms
 	decisions *obs.DecisionLog // nil = no decision log
 	span      *obs.Span        // current parent span for StartSpan
-	clock     resilience.Clock // nil = wall clock; virtual in tests/benches
+	clock     obs.Clock        // nil = wall clock; virtual in tests/benches
 	plans     *plancache.Cache // nil = incremental refresh disabled (cold path)
 	noMemo    bool
 	maxRows   int64
@@ -324,7 +324,7 @@ func WithDecisions(l *obs.DecisionLog) ExecOption { return func(ec *ExecCtx) { e
 
 // WithExecClock sets the clock used to time service calls for the
 // latency histograms (virtual in tests; wall clock by default).
-func WithExecClock(c resilience.Clock) ExecOption { return func(ec *ExecCtx) { ec.clock = c } }
+func WithExecClock(c obs.Clock) ExecOption { return func(ec *ExecCtx) { ec.clock = c } }
 
 // NewExecCtx builds an execution context over ctx. The stats block is
 // guaranteed non-nil on return — even under WithStats(nil) — so no

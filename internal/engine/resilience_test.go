@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"copycat/internal/obs"
 	"copycat/internal/resilience"
 	"copycat/internal/table"
 )
@@ -43,7 +44,7 @@ func (s *faultySvc) Call(in table.Tuple) ([]table.Tuple, error) {
 func resilientCtx(maxAttempts int, bc resilience.BreakerConfig) *ExecCtx {
 	caller := resilience.NewCaller(resilience.Policy{
 		MaxAttempts: maxAttempts,
-		Clock:       resilience.NewVirtualClock(),
+		Clock:       obs.NewVirtualClock(),
 		Seed:        1,
 	}, bc)
 	return NewExecCtx(context.Background(), WithResilience(caller))

@@ -132,11 +132,11 @@ type Learner struct {
 	refineInFlight map[uint64]bool
 	refineWG       sync.WaitGroup
 
-	// RefineFailHook, when non-nil, observes background exact-refinement
-	// failures with a reason (the flight recorder's incident trigger).
-	// Set it before the first refresh; the refine goroutine captures the
-	// hook at spawn time.
-	RefineFailHook func(reason string)
+	// Stream, when non-nil, receives a lifecycle event for every failed
+	// background exact refinement (a flight-recorder trigger). The
+	// refine goroutine captures it at spawn time, so a failure reports
+	// to the stream that was current when its refresh started.
+	Stream *obs.Stream
 }
 
 // LastDrops reports the candidates dropped (with reasons) by the most
@@ -843,7 +843,7 @@ func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, 
 	termsCopy := append([]int(nil), terms...)
 	namesCopy := append([]string(nil), terminals...)
 	reg := ec.Metrics()
-	failHook := l.RefineFailHook
+	stream := l.Stream
 	l.refineWG.Add(1)
 	go func() {
 		defer l.refineWG.Done()
@@ -857,13 +857,11 @@ func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, 
 			if reg != nil {
 				reg.Counter("solver.refine.failed").Inc()
 			}
-			if failHook != nil {
-				reason := "exact refinement returned no trees"
-				if err != nil {
-					reason = err.Error()
-				}
-				failHook(reason)
+			reason := "exact refinement returned no trees"
+			if err != nil {
+				reason = err.Error()
 			}
+			stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventRefineFailed, Detail: reason})
 			return
 		}
 		out := make([]*Query, 0, len(trees))

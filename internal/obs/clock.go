@@ -1,14 +1,16 @@
-package resilience
+package obs
 
 import (
 	"sync"
 	"time"
 )
 
-// Clock abstracts time for the resilience layer: backoff sleeps, breaker
-// cooldowns, latency budgets, and injected fault latency all run on a
-// Clock, so tests and experiments replace the wall clock with a
-// VirtualClock and stay deterministic with zero real sleeping.
+// Clock abstracts time for the whole system: stage timing, span and
+// event timestamps, SLO windows, incident stamps, and the resilience
+// layer's backoff sleeps, breaker cooldowns, latency budgets, and
+// injected fault latency all run on a Clock, so tests and experiments
+// replace the wall clock with a VirtualClock and stay deterministic with
+// zero real sleeping.
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time

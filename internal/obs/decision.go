@@ -56,69 +56,53 @@ func (d Decision) String() string {
 	return b.String()
 }
 
-// maxDecisions bounds the log; the oldest half is discarded on
-// overflow, so a long session keeps recent explanations.
+// maxDecisions bounds the log: a long session keeps its most recent
+// explanations.
 const maxDecisions = 4096
 
-// DecisionLog records candidate decisions across the session. Safe for
-// concurrent use (the parallel candidate executor records into one
-// shared log). A nil *DecisionLog is inert.
+// DecisionLog records candidate decisions across the session in a
+// bounded ring, and publishes each on the stream the log is pointed at
+// (the flight recorder's timeline). Safe for concurrent use (the
+// parallel candidate executor records into one shared log). A nil
+// *DecisionLog is inert.
 type DecisionLog struct {
-	mu      sync.Mutex
-	next    int
-	session string
-	ds      []Decision
-	sink    func(Decision)
+	ring   *Ring[Decision]
+	mu     sync.Mutex
+	stream *Stream
 }
 
 // NewDecisionLog creates an empty log.
-func NewDecisionLog() *DecisionLog { return &DecisionLog{} }
+func NewDecisionLog() *DecisionLog { return &DecisionLog{ring: NewRing[Decision](maxDecisions)} }
 
-// SetSession stamps every subsequently recorded decision with the
-// owning session's ID, attributing multi-tenant decision streams. The
-// single-workspace facade leaves it empty.
-func (l *DecisionLog) SetSession(id string) {
+// SetStream points the log at the stream its decisions are published
+// on; decisions are stamped with the stream handle's session. nil stops
+// publishing.
+func (l *DecisionLog) SetStream(s *Stream) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.session = id
+	l.stream = s
 	l.mu.Unlock()
 }
 
-// SetSink installs a live observer called with every recorded decision
-// after it is stamped (the flight recorder's feed). The sink runs
-// outside the log's lock; nil removes it.
-func (l *DecisionLog) SetSink(fn func(Decision)) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.sink = fn
-	l.mu.Unlock()
-}
-
-// Record appends a decision, stamping its sequence number and the log's
-// session ID (unless the decision already carries one).
+// Record appends a decision, stamping its sequence number and the
+// stream's session (unless the decision already carries one), and
+// publishes it.
 func (l *DecisionLog) Record(d Decision) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.next++
-	d.Seq = l.next
+	stream := l.stream
 	if d.Session == "" {
-		d.Session = l.session
+		d.Session = stream.Session()
 	}
-	l.ds = append(l.ds, d)
-	if len(l.ds) > maxDecisions {
-		l.ds = append(l.ds[:0:0], l.ds[len(l.ds)/2:]...)
-	}
-	sink := l.sink
+	// Sequence numbers are 1-based; under l.mu they match push order.
+	d.Seq = int(l.ring.next) + 1
+	l.ring.Push(d)
 	l.mu.Unlock()
-	if sink != nil {
-		sink(d)
-	}
+	stream.Publish(Event{Kind: KindDecision, Decision: d})
 }
 
 // Decisions returns a copy of the log, oldest first.
@@ -126,23 +110,17 @@ func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Decision(nil), l.ds...)
+	ds, _, _ := l.ring.Since(0)
+	return ds
 }
 
 // For returns the decisions whose candidate contains the given
 // substring (case-insensitive), oldest first — the ":why <candidate>"
 // lookup.
 func (l *DecisionLog) For(candidate string) []Decision {
-	if l == nil {
-		return nil
-	}
 	needle := strings.ToLower(candidate)
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []Decision
-	for _, d := range l.ds {
+	for _, d := range l.Decisions() {
 		if strings.Contains(strings.ToLower(d.Candidate), needle) {
 			out = append(out, d)
 		}
@@ -155,9 +133,7 @@ func (l *DecisionLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ds)
+	return l.ring.Len()
 }
 
 // Reset clears the log.
@@ -165,7 +141,5 @@ func (l *DecisionLog) Reset() {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	l.ds = nil
-	l.mu.Unlock()
+	l.ring.Reset()
 }

@@ -1,24 +1,24 @@
-// Package flight is CopyCat's flight recorder: an always-on, bounded,
-// low-overhead recorder that continuously retains the recent past —
-// spans, decision-log entries, periodic metric snapshots, and lifecycle
-// events (breaker transitions, eviction attempts and failures,
-// solver-tier picks, refine failures, store quarantines, admission
-// sheds) — so that when something goes wrong the causal context is
-// still there to explain it.
+// Package flight is CopyCat's flight recorder: always-on, bounded
+// incident capture over the observability event stream. The stream's
+// ring already retains the recent past — spans, decision-log entries,
+// and lifecycle events (breaker transitions, eviction attempts and
+// failures, refine failures, store quarantines, admission sheds) — so
+// the recorder keeps no copies of its own: it only adds periodic metric
+// snapshots and applies its trigger rules to every published event.
 //
 // Trigger rules (SLO fast-burn, breaker open, eviction failure, refine
 // failure, store quarantine, SIGQUIT) capture a self-contained JSON
 // incident bundle: the trigger, pre/post metric snapshots with counter
-// deltas, the retained timeline, per-session and per-tenant
-// attribution, and runtime stats. Bundles are kept in a bounded
-// in-memory list and, when a directory is configured, written to a
-// bounded on-disk incident dir (atomic temp+rename, oldest pruned).
-// Per-trigger cooldowns and the incidents.suppressed counter keep
-// incident storms from flooding the disk.
+// deltas, the retention window of the stream split into events, spans,
+// and decisions, per-session and per-tenant attribution, and runtime
+// stats. Bundles are kept in a bounded in-memory list and, when a
+// directory is configured, written to a bounded on-disk incident dir
+// (atomic temp+rename, oldest pruned). Per-trigger cooldowns and the
+// incidents.suppressed counter keep incident storms from flooding the
+// disk.
 //
-// Everything runs on an injectable clock, so virtual-clock sessions
-// capture deterministically. A nil *Recorder is inert, like the rest of
-// the obs substrate, so wiring can be unconditional.
+// Everything runs on the stream's clock, so virtual-clock sessions
+// capture deterministically. A nil *Recorder is inert.
 package flight
 
 import (
@@ -33,22 +33,7 @@ import (
 	"time"
 
 	"copycat/internal/obs"
-)
-
-// Lifecycle event kinds recorded into the timeline.
-const (
-	// EventBreaker is a circuit-breaker state transition.
-	EventBreaker = "breaker.transition"
-	// EventEvict is a successful session eviction to the store.
-	EventEvict = "session.evict"
-	// EventEvictError is a failed eviction (snapshot or store error).
-	EventEvictError = "session.evict_error"
-	// EventShed is an admission-control rejection of a session create.
-	EventShed = "admission.shed"
-	// EventRefineFailed is a failed background exact refinement.
-	EventRefineFailed = "solver.refine_failed"
-	// EventQuarantine is a corrupt snapshot moved to quarantine.
-	EventQuarantine = "store.quarantine"
+	"copycat/internal/resilience"
 )
 
 // Trigger kinds. Each kind has its own capture cooldown; captures
@@ -71,7 +56,7 @@ const (
 	TriggerSignal = "sigquit"
 )
 
-// Event is one lifecycle event in the retained timeline.
+// Event is one lifecycle event in a bundle's timeline.
 type Event struct {
 	Seq     int64  `json:"seq"`
 	AtNs    int64  `json:"at_ns"`
@@ -81,15 +66,15 @@ type Event struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// SpanRecord is one retained span with its arrival timestamp on the
-// recorder clock (span StartNs/DurNs are trace-epoch-relative).
+// SpanRecord is one span of a bundle's timeline with its publish time
+// on the stream clock (span StartNs/DurNs are trace-epoch-relative).
 type SpanRecord struct {
 	AtNs int64         `json:"at_ns"`
 	Span obs.SpanEvent `json:"span"`
 }
 
-// DecisionRecord is one retained decision-log entry with its arrival
-// timestamp.
+// DecisionRecord is one decision-log entry of a bundle's timeline with
+// its publish time.
 type DecisionRecord struct {
 	AtNs     int64        `json:"at_ns"`
 	Decision obs.Decision `json:"decision"`
@@ -101,70 +86,13 @@ type snapRecord struct {
 	snap obs.Snapshot
 }
 
-// ring is a fixed-capacity circular buffer. Once the backing array is
-// full, every push overwrites the oldest entry in place — the steady
-// state of an always-on recorder allocates nothing, which is what keeps
-// the per-span feed off the GC (the previous drop-oldest-half scheme
-// re-allocated half the ring every overflow and dominated the
-// recorder's measured overhead). The backing array is allocated lazily
-// at first push, so the per-workspace recorders of hosted sessions
-// (which feed a shared manager recorder instead) stay at zero bytes.
-type ring[T any] struct {
-	max  int
-	buf  []T
-	head int // oldest entry once the buffer is full; 0 while filling
-}
-
-func (g *ring[T]) push(v T) {
-	if g.buf == nil {
-		g.buf = make([]T, 0, g.max)
-	}
-	if len(g.buf) < g.max {
-		g.buf = append(g.buf, v)
-		return
-	}
-	g.buf[g.head] = v
-	g.head = (g.head + 1) % g.max
-}
-
-func (g *ring[T]) len() int { return len(g.buf) }
-
-// ordered copies the retained entries oldest-first (capture path only).
-func (g *ring[T]) ordered() []T {
-	out := make([]T, 0, len(g.buf))
-	out = append(out, g.buf[g.head:]...)
-	out = append(out, g.buf[:g.head]...)
-	return out
-}
-
-// Config sizes and wires a Recorder. Zero fields take defaults.
+// Config wires a Recorder. Every field is optional.
 type Config struct {
-	// Retention bounds how far back a captured bundle's timeline
-	// reaches. Default 60s.
-	Retention time.Duration
-	// Cooldown is the per-trigger-kind minimum spacing between captures;
-	// triggers inside it are suppressed (and counted). Default 30s.
-	Cooldown time.Duration
-	// MaxEvents/MaxSpans/MaxDecisions cap the retained rings (circular:
-	// the oldest entry is overwritten on overflow). Defaults
-	// 512/2048/1024.
-	MaxEvents    int
-	MaxSpans     int
-	MaxDecisions int
-	// SnapshotEvery paces the periodic metric snapshots that become a
-	// bundle's "pre" state. Default 5s.
-	SnapshotEvery time.Duration
-	// MaxIncidents bounds both the in-memory incident list and the
-	// on-disk incident dir (oldest pruned). Default 16.
-	MaxIncidents int
 	// Dir, when non-empty, is the on-disk incident directory bundles are
 	// written to (atomic temp+rename).
 	Dir string
-	// Clock supplies timestamps; nil means the wall clock. Inject the
-	// session's virtual clock for deterministic capture tests.
-	Clock func() time.Time
-	// Metrics, when non-nil, supplies the periodic and capture-time
-	// metric snapshots (pre/post state in bundles).
+	// Metrics supplies the periodic and capture-time metric snapshots
+	// (pre/post state in bundles).
 	Metrics func() obs.Snapshot
 	// Registry receives the incidents.captured / incidents.suppressed
 	// counters and the incidents.stored gauge (exported by the telemetry
@@ -173,50 +101,23 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Defaults for Config's zero fields.
+// Capture policy.
 const (
-	DefaultRetention     = 60 * time.Second
-	DefaultCooldown      = 30 * time.Second
-	DefaultMaxEvents     = 512
-	DefaultMaxSpans      = 2048
-	DefaultMaxDecisions  = 1024
-	DefaultSnapshotEvery = 5 * time.Second
-	DefaultMaxIncidents  = 16
+	// Retention bounds how far back a bundle's timeline reaches (the
+	// stream's ring bounds it too).
+	Retention = 60 * time.Second
+	// Cooldown is the per-trigger-kind minimum spacing between captures;
+	// triggers inside it are suppressed (and counted).
+	Cooldown = 30 * time.Second
+	// SnapshotEvery paces the periodic metric snapshots that become a
+	// bundle's "pre" state.
+	SnapshotEvery = 5 * time.Second
+	// MaxIncidents bounds both the in-memory incident list and the
+	// on-disk incident dir (oldest pruned).
+	MaxIncidents = 16
+	// maxSnaps bounds the periodic-snapshot ring.
+	maxSnaps = 16
 )
-
-// maxSnaps bounds the periodic-snapshot ring.
-const maxSnaps = 16
-
-func (c Config) withDefaults() Config {
-	if c.Retention <= 0 {
-		c.Retention = DefaultRetention
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = DefaultMaxEvents
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = DefaultMaxSpans
-	}
-	if c.MaxDecisions <= 0 {
-		c.MaxDecisions = DefaultMaxDecisions
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = DefaultMaxIncidents
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	if c.Registry == nil {
-		c.Registry = obs.NewRegistry()
-	}
-	return c
-}
 
 // RuntimeStats is the process-level state captured into a bundle.
 type RuntimeStats struct {
@@ -277,45 +178,47 @@ type Summary struct {
 }
 
 // Recorder is the flight recorder. Safe for concurrent use; a nil
-// *Recorder is inert (every method no-ops), so observers can be wired
-// unconditionally and detached by wiring nil.
+// *Recorder is inert.
 type Recorder struct {
+	stream  *obs.Stream
+	metrics func() obs.Snapshot
+
 	mu          sync.Mutex
-	cfg         Config
-	seq         int64
+	dir         string
 	nextID      int64
-	events      ring[Event]
-	spans       ring[SpanRecord]
-	decisions   ring[DecisionRecord]
-	snaps       []snapRecord
+	snaps       *obs.Ring[snapRecord]
 	lastSnap    time.Time
 	lastTrigger map[string]time.Time
-	incidents   []*Incident
+	incidents   *obs.Ring[*Incident]
 
 	captured   *obs.Counter
 	suppressed *obs.Counter
 	stored     *obs.Gauge
 }
 
-// New builds a recorder; zero Config fields take defaults. The
-// incidents.captured and incidents.suppressed counters are created
-// immediately so the metric families exist (at zero) before the first
-// incident.
-func New(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:         cfg,
-		events:      ring[Event]{max: cfg.MaxEvents},
-		spans:       ring[SpanRecord]{max: cfg.MaxSpans},
-		decisions:   ring[DecisionRecord]{max: cfg.MaxDecisions},
-		lastTrigger: map[string]time.Time{},
-		captured:    cfg.Registry.Counter("incidents.captured"),
-		suppressed:  cfg.Registry.Counter("incidents.suppressed"),
-		stored:      cfg.Registry.Gauge("incidents.stored"),
+// New builds a recorder over stream and attaches it, so its trigger
+// rules see every event published there. The incidents.captured and
+// incidents.suppressed counters are created immediately so the metric
+// families exist (at zero) before the first incident.
+func New(stream *obs.Stream, cfg Config) *Recorder {
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	r := &Recorder{
+		stream:      stream,
+		metrics:     cfg.Metrics,
+		dir:         cfg.Dir,
+		snaps:       obs.NewRing[snapRecord](maxSnaps),
+		lastTrigger: map[string]time.Time{},
+		incidents:   obs.NewRing[*Incident](MaxIncidents),
+		captured:    reg.Counter("incidents.captured"),
+		suppressed:  reg.Counter("incidents.suppressed"),
+		stored:      reg.Gauge("incidents.stored"),
+	}
+	stream.AttachIncidents(r)
+	return r
 }
-
-func (r *Recorder) now() time.Time { return r.cfg.Clock() }
 
 // SetDir points the recorder at an on-disk incident directory (bundles
 // captured from now on are persisted there). "" disables persistence.
@@ -324,124 +227,80 @@ func (r *Recorder) SetDir(dir string) {
 		return
 	}
 	r.mu.Lock()
-	r.cfg.Dir = dir
+	r.dir = dir
 	r.mu.Unlock()
 }
 
-// SetCooldown overrides the per-trigger-kind capture cooldown.
-func (r *Recorder) SetCooldown(d time.Duration) {
-	if r == nil || d <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.cfg.Cooldown = d
-	r.mu.Unlock()
-}
-
-// RecordEvent retains one lifecycle event.
-func (r *Recorder) RecordEvent(kind, session, tenant, detail string) {
+// Observe applies the trigger rules to one published event, and takes
+// the periodic metric snapshot when one is due.
+func (r *Recorder) Observe(ev *obs.Event) {
 	if r == nil {
 		return
 	}
-	now := r.now()
-	r.mu.Lock()
-	r.seq++
-	r.events.push(Event{
-		Seq: r.seq, AtNs: now.UnixNano(),
-		Kind: kind, Session: session, Tenant: tenant, Detail: detail,
-	})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
+	at := time.Unix(0, ev.AtNs)
+	if r.snapshotDue(at) {
+		snap := r.metrics()
+		r.snaps.Push(snapRecord{at: at, snap: snap})
+	}
+	switch ev.Kind {
+	case obs.KindStage:
+		// armed is a cheap cooldown pre-check, so the SLO status (three
+		// window merges) is only computed when a capture could happen.
+		if ev.Name == obs.SLOStage && r.armed(TriggerSLOFastBurn) {
+			if st := r.stream.SLO(); st.FastAlert {
+				r.Trigger(TriggerSLOFastBurn, st.String(), ev.Session, ev.Tenant)
+			}
+		}
+	case obs.KindLifecycle:
+		switch ev.Name {
+		case obs.EventBreaker:
+			if strings.HasSuffix(ev.Detail, "-> "+resilience.BreakerOpen.String()) {
+				r.Trigger(TriggerBreakerOpen, ev.Detail, ev.Session, ev.Tenant)
+			}
+		case obs.EventEvictError:
+			r.Trigger(TriggerEvictError, ev.Detail, ev.Session, ev.Tenant)
+		case obs.EventRefineFailed:
+			r.Trigger(TriggerRefineFailure, ev.Detail, ev.Session, ev.Tenant)
+		case obs.EventQuarantine:
+			r.Trigger(TriggerStoreQuarantine, ev.Session+": "+ev.Detail, ev.Session, ev.Tenant)
+		}
 	}
 }
 
-// ObserveSpan retains one finished span (the trace sink fans ended
-// spans here alongside the live span ring).
-func (r *Recorder) ObserveSpan(ev obs.SpanEvent) {
-	if r == nil {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	r.spans.push(SpanRecord{AtNs: now.UnixNano(), Span: ev})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
-	}
-}
-
-// ObserveDecision retains one decision-log entry (the decision log's
-// sink).
-func (r *Recorder) ObserveDecision(d obs.Decision) {
-	if r == nil {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	r.decisions.push(DecisionRecord{AtNs: now.UnixNano(), Decision: d})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
-	}
-}
-
-// snapshotDueLocked decides (under r.mu, on the observation's already
-// read clock) whether a periodic metric snapshot is due, and claims
-// the slot if so — the caller takes the snapshot after unlocking, so
-// the Metrics callback (which reads other subsystems' locks) never
-// runs under the recorder lock.
-func (r *Recorder) snapshotDueLocked(now time.Time) bool {
-	if r.cfg.Metrics == nil {
+// snapshotDue decides whether a periodic metric snapshot is due at the
+// given instant and claims the slot if so; the caller takes the
+// snapshot without holding r.mu, since the Metrics callback reads other
+// subsystems' locks.
+func (r *Recorder) snapshotDue(now time.Time) bool {
+	if r.metrics == nil {
 		return false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if !r.lastSnap.IsZero() && now.Before(r.lastSnap) {
 		// The clock moved backwards (a virtual clock was injected after
 		// construction): re-anchor rather than stall forever.
 		r.lastSnap = time.Time{}
 		r.lastTrigger = map[string]time.Time{}
 	}
-	due := r.lastSnap.IsZero() || now.Sub(r.lastSnap) >= r.cfg.SnapshotEvery
+	due := r.lastSnap.IsZero() || now.Sub(r.lastSnap) >= SnapshotEvery
 	if due {
 		r.lastSnap = now
 	}
 	return due
 }
 
-// takeSnapshot captures one periodic metric snapshot claimed by
-// snapshotDueLocked.
-func (r *Recorder) takeSnapshot(now time.Time) {
-	snap := r.cfg.Metrics()
-	r.mu.Lock()
-	r.snaps = append(r.snaps, snapRecord{at: now, snap: snap})
-	if len(r.snaps) > maxSnaps {
-		r.snaps = append(r.snaps[:0:0], r.snaps[1:]...)
-	}
-	r.mu.Unlock()
-}
-
-// Armed reports whether a trigger of this kind would capture right now
-// (i.e. it is outside the kind's cooldown). Hot paths check it before
-// computing an expensive trigger condition; a nil recorder is never
-// armed.
-func (r *Recorder) Armed(kind string) bool {
-	if r == nil {
-		return false
-	}
+// armed reports whether a trigger of this kind would capture right now
+// (i.e. it is outside the kind's cooldown).
+func (r *Recorder) armed(kind string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	last, ok := r.lastTrigger[kind]
 	if !ok {
 		return true
 	}
-	now := r.now()
-	if now.Before(last) {
-		return true
-	}
-	return now.Sub(last) >= r.cfg.Cooldown
+	now := r.stream.Now()
+	return now.Before(last) || now.Sub(last) >= Cooldown
 }
 
 // Trigger captures an incident bundle for the given trigger kind,
@@ -453,33 +312,31 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 		return "", false
 	}
 	r.mu.Lock()
-	now := r.now()
-	if last, ok := r.lastTrigger[kind]; ok && !now.Before(last) && now.Sub(last) < r.cfg.Cooldown {
+	now := r.stream.Now()
+	if last, ok := r.lastTrigger[kind]; ok && !now.Before(last) && now.Sub(last) < Cooldown {
 		r.mu.Unlock()
 		r.suppressed.Inc()
 		return "", false
 	}
 	r.lastTrigger[kind] = now
-	cutoff := now.Add(-r.cfg.Retention).UnixNano()
-	events := filterEvents(r.events.ordered(), cutoff)
-	spans := filterSpans(r.spans.ordered(), cutoff)
-	decisions := filterDecisions(r.decisions.ordered(), cutoff)
+	r.nextID++
+	id := fmt.Sprintf("inc-%06d-%s", r.nextID, sanitizeID(kind))
+	dir := r.dir
+	r.mu.Unlock()
+
 	var pre obs.Snapshot
 	var preAge int64
-	for i := len(r.snaps) - 1; i >= 0; i-- {
-		if !r.snaps[i].at.After(now) {
-			pre = r.snaps[i].snap
-			preAge = now.Sub(r.snaps[i].at).Nanoseconds()
+	snaps, _, _ := r.snaps.Since(0)
+	for i := len(snaps) - 1; i >= 0; i-- {
+		if !snaps[i].at.After(now) {
+			pre = snaps[i].snap
+			preAge = now.Sub(snaps[i].at).Nanoseconds()
 			break
 		}
 	}
-	r.nextID++
-	id := fmt.Sprintf("inc-%06d-%s", r.nextID, sanitizeID(kind))
-	r.mu.Unlock()
-
 	var post obs.Snapshot
-	if r.cfg.Metrics != nil {
-		post = r.cfg.Metrics()
+	if r.metrics != nil {
+		post = r.metrics()
 	}
 	inc := &Incident{
 		ID: id, Trigger: kind, Reason: reason, Session: session, Tenant: tenant,
@@ -488,28 +345,43 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 		PreAgeNs:      preAge,
 		Post:          post,
 		CounterDeltas: counterDeltas(pre, post),
-		Events:        events,
-		Spans:         spans,
-		Decisions:     decisions,
 		Runtime:       captureRuntime(),
 	}
+	r.timeline(inc, now.Add(-Retention).UnixNano())
 	inc.Sessions, inc.Tenants = attribute(inc)
 
-	r.mu.Lock()
-	r.incidents = append(r.incidents, inc)
-	if len(r.incidents) > r.cfg.MaxIncidents {
-		r.incidents = append(r.incidents[:0:0], r.incidents[len(r.incidents)-r.cfg.MaxIncidents:]...)
-	}
-	n := len(r.incidents)
-	dir, keep := r.cfg.Dir, r.cfg.MaxIncidents
-	r.mu.Unlock()
+	r.incidents.Push(inc)
 	r.captured.Inc()
-	r.stored.Set(float64(n))
+	r.stored.Set(float64(r.incidents.Len()))
 	if dir != "" {
 		// Best-effort: a full disk must not take the serving path down.
-		_ = writeBundle(dir, inc, keep)
+		_ = writeBundle(dir, inc, MaxIncidents)
 	}
 	return id, true
+}
+
+// timeline splits the stream's retained events published at or after
+// cutoff into the bundle's events, spans, and decisions.
+func (r *Recorder) timeline(inc *Incident, cutoff int64) {
+	evs, _, _ := r.stream.Since(0)
+	for _, ev := range evs {
+		if ev.AtNs < cutoff {
+			continue
+		}
+		switch ev.Kind {
+		case obs.KindLifecycle:
+			inc.Events = append(inc.Events, Event{
+				Seq: ev.Seq, AtNs: ev.AtNs, Kind: ev.Name,
+				Session: ev.Session, Tenant: ev.Tenant, Detail: ev.Detail,
+			})
+		case obs.KindSpan:
+			sp := ev.Span
+			sp.Seq = ev.Seq
+			inc.Spans = append(inc.Spans, SpanRecord{AtNs: ev.AtNs, Span: sp})
+		case obs.KindDecision:
+			inc.Decisions = append(inc.Decisions, DecisionRecord{AtNs: ev.AtNs, Decision: ev.Decision})
+		}
+	}
 }
 
 // Incidents lists the retained bundles, newest first.
@@ -517,11 +389,10 @@ func (r *Recorder) Incidents() []Summary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Summary, 0, len(r.incidents))
-	for i := len(r.incidents) - 1; i >= 0; i-- {
-		inc := r.incidents[i]
+	incs, _, _ := r.incidents.Since(0)
+	out := make([]Summary, 0, len(incs))
+	for i := len(incs) - 1; i >= 0; i-- {
+		inc := incs[i]
 		out = append(out, Summary{
 			ID: inc.ID, Trigger: inc.Trigger, Reason: inc.Reason,
 			Session: inc.Session, Tenant: inc.Tenant,
@@ -537,9 +408,8 @@ func (r *Recorder) Incident(id string) (*Incident, bool) {
 	if r == nil {
 		return nil, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, inc := range r.incidents {
+	incs, _, _ := r.incidents.Since(0)
+	for _, inc := range incs {
 		if inc.ID == id {
 			return inc, true
 		}
@@ -563,49 +433,19 @@ func (r *Recorder) Suppressed() int64 {
 	return r.suppressed.Load()
 }
 
-// Retained reports the current ring occupancy (events, spans,
-// decisions) — the overhead experiment asserts the recorder actually
-// recorded something.
+// Retained reports how much of the stream's retention window a bundle
+// captured now would hold (events, spans, decisions) — the overhead
+// experiment asserts the recorder actually had something to record.
 func (r *Recorder) Retained() (events, spans, decisions int) {
 	if r == nil {
 		return 0, 0, 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events.len(), r.spans.len(), r.decisions.len()
+	inc := &Incident{}
+	r.timeline(inc, r.stream.Now().Add(-Retention).UnixNano())
+	return len(inc.Events), len(inc.Spans), len(inc.Decisions)
 }
 
 // ---------------------------------------------------------------- capture helpers
-
-func filterEvents(evs []Event, cutoff int64) []Event {
-	out := make([]Event, 0, len(evs))
-	for _, e := range evs {
-		if e.AtNs >= cutoff {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func filterSpans(sps []SpanRecord, cutoff int64) []SpanRecord {
-	out := make([]SpanRecord, 0, len(sps))
-	for _, s := range sps {
-		if s.AtNs >= cutoff {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func filterDecisions(ds []DecisionRecord, cutoff int64) []DecisionRecord {
-	out := make([]DecisionRecord, 0, len(ds))
-	for _, d := range ds {
-		if d.AtNs >= cutoff {
-			out = append(out, d)
-		}
-	}
-	return out
-}
 
 // counterDeltas is post minus pre for every counter that moved; nil
 // when there is no pre snapshot to diff against.

@@ -10,28 +10,44 @@ import (
 	"copycat/internal/obs"
 )
 
-// testClock is a hand-advanced clock for deterministic capture tests.
+// testClock is a hand-set clock for deterministic capture tests; unlike
+// obs.VirtualClock it can also jump backwards.
 type testClock struct{ now time.Time }
 
 func (c *testClock) Now() time.Time          { return c.now }
+func (c *testClock) Sleep(d time.Duration)   { c.Advance(d) }
 func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 func (c *testClock) Set(t time.Time)         { c.now = t }
 func newTestClock() *testClock               { return &testClock{now: time.Unix(1_000_000, 0)} }
-func newTestRecorder(c *testClock, cfg Config) *Recorder {
-	cfg.Clock = c.Now
-	return New(cfg)
+
+// testRecorder is a recorder on a fresh stream driven by the test clock,
+// with helpers publishing onto that stream.
+type testRecorder struct {
+	*Recorder
+	stream *obs.Stream
+}
+
+func newTestRecorder(c *testClock, cfg Config) testRecorder {
+	s := obs.NewStream(c)
+	return testRecorder{New(s, cfg), s}
+}
+
+func (r testRecorder) event(name, session, tenant, detail string) {
+	r.stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: name, Session: session, Tenant: tenant, Detail: detail})
+}
+
+func (r testRecorder) span(sp obs.SpanEvent) {
+	r.stream.Publish(obs.Event{Kind: obs.KindSpan, Span: sp})
+}
+
+func (r testRecorder) decision(d obs.Decision) {
+	r.stream.Publish(obs.Event{Kind: obs.KindDecision, Decision: d})
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	r.RecordEvent(EventBreaker, "s1", "t1", "closed -> open")
-	r.ObserveSpan(obs.SpanEvent{Name: "x"})
-	r.ObserveDecision(obs.Decision{Candidate: "c"})
+	r.Observe(&obs.Event{Kind: obs.KindLifecycle, Name: obs.EventEvictError})
 	r.SetDir("/nope")
-	r.SetCooldown(time.Second)
-	if r.Armed(TriggerBreakerOpen) {
-		t.Error("nil recorder should never be armed")
-	}
 	if id, ok := r.Trigger(TriggerBreakerOpen, "r", "", ""); ok || id != "" {
 		t.Errorf("nil recorder captured %q", id)
 	}
@@ -55,7 +71,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 // same kind captures again once the cooldown has elapsed.
 func TestTriggerCooldownCapturesExactlyOnce(t *testing.T) {
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{Cooldown: 30 * time.Second})
+	r := newTestRecorder(clk, Config{})
 	id1, ok := r.Trigger(TriggerBreakerOpen, "geocoder tripped", "s1", "")
 	if !ok || id1 == "" {
 		t.Fatalf("first trigger should capture, got %q %v", id1, ok)
@@ -78,7 +94,7 @@ func TestTriggerCooldownCapturesExactlyOnce(t *testing.T) {
 	}
 	// After the cooldown the original kind fires again.
 	clk.Advance(31 * time.Second)
-	if !r.Armed(TriggerBreakerOpen) {
+	if !r.armed(TriggerBreakerOpen) {
 		t.Error("should be armed after cooldown")
 	}
 	id2, ok := r.Trigger(TriggerBreakerOpen, "tripped again", "s1", "")
@@ -97,17 +113,17 @@ func TestTriggerCooldownCapturesExactlyOnce(t *testing.T) {
 // the retention window and attributes its contents per session/tenant.
 func TestTimelineRetentionAndAttribution(t *testing.T) {
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{Retention: 60 * time.Second})
+	r := newTestRecorder(clk, Config{})
 	// Old data outside the retention window must not appear.
-	r.RecordEvent(EventEvict, "old-session", "old-tenant", "too old")
+	r.event(obs.EventEvict, "old-session", "old-tenant", "too old")
 	clk.Advance(2 * time.Minute)
-	r.RecordEvent(EventBreaker, "s1", "", "geocoder: closed -> open")
-	r.ObserveSpan(obs.SpanEvent{Seq: 1, Name: "stage.execute", DurNs: 1500, Attrs: []obs.Attr{
+	r.event(obs.EventBreaker, "s1", "", "geocoder: open -> half-open")
+	r.span(obs.SpanEvent{Name: "stage.execute", DurNs: 1500, Attrs: []obs.Attr{
 		{Key: "session", Value: "s1"}, {Key: "error", Value: "breaker geocoder open"},
 	}})
-	r.ObserveDecision(obs.Decision{Seq: 1, Session: "s1", Stage: "session.evict", Candidate: "s1", Action: obs.ActionDropped, Reason: "x"})
-	r.RecordEvent(EventShed, "", "acme", "at capacity")
-	id, ok := r.Trigger(TriggerBreakerOpen, "geocoder open", "s1", "")
+	r.decision(obs.Decision{Seq: 1, Session: "s1", Stage: "session.evict", Candidate: "s1", Action: obs.ActionDropped, Reason: "x"})
+	r.event(obs.EventShed, "", "acme", "at capacity")
+	id, ok := r.Trigger(TriggerSignal, "operator capture", "s1", "")
 	if !ok {
 		t.Fatal("trigger should capture")
 	}
@@ -138,22 +154,24 @@ func TestTimelineRetentionAndAttribution(t *testing.T) {
 	}
 }
 
-// TestRingCapsBoundMemory drives each ring past its cap and checks the
-// occupancy stays bounded (oldest half dropped).
+// TestRingCapsBoundMemory drives the stream's ring well past its
+// capacity and checks that what a bundle could hold stays bounded by it
+// while keeping the newest entries of every kind.
 func TestRingCapsBoundMemory(t *testing.T) {
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{MaxEvents: 8, MaxSpans: 8, MaxDecisions: 8})
-	for i := 0; i < 100; i++ {
-		r.RecordEvent(EventEvict, "s", "", "e")
-		r.ObserveSpan(obs.SpanEvent{Name: "x"})
-		r.ObserveDecision(obs.Decision{Candidate: "c"})
+	r := newTestRecorder(clk, Config{})
+	for i := 0; i < obs.StreamCapacity; i++ {
+		r.event(obs.EventEvict, "s", "", "e")
+		r.span(obs.SpanEvent{Name: "x"})
+		r.decision(obs.Decision{Candidate: "c"})
 	}
 	e, s, d := r.Retained()
-	if e > 8 || s > 8 || d > 8 {
-		t.Errorf("rings exceeded caps: events=%d spans=%d decisions=%d", e, s, d)
+	if e+s+d != obs.StreamCapacity {
+		t.Errorf("retained %d entries (events=%d spans=%d decisions=%d), want the ring capacity %d",
+			e+s+d, e, s, d, obs.StreamCapacity)
 	}
 	if e == 0 || s == 0 || d == 0 {
-		t.Error("rings should retain the newest entries after overflow")
+		t.Error("the ring should retain the newest entries of every kind after overflow")
 	}
 }
 
@@ -163,12 +181,12 @@ func TestPeriodicSnapshotsAndDeltas(t *testing.T) {
 	clk := newTestClock()
 	reg := obs.NewRegistry()
 	c := reg.Counter("engine.rows")
-	r := newTestRecorder(clk, Config{SnapshotEvery: 5 * time.Second, Metrics: reg.Snapshot})
+	r := newTestRecorder(clk, Config{Metrics: reg.Snapshot})
 	c.Add(10)
-	r.RecordEvent(EventEvict, "s", "", "first") // takes the initial snapshot
+	r.event(obs.EventEvict, "s", "", "first") // takes the initial snapshot
 	c.Add(5)
-	clk.Advance(6 * time.Second)
-	r.RecordEvent(EventEvict, "s", "", "second") // snapshot due again
+	clk.Advance(SnapshotEvery + time.Second)
+	r.event(obs.EventEvict, "s", "", "second") // snapshot due again
 	c.Add(7)
 	clk.Advance(time.Second)
 	id, ok := r.Trigger(TriggerEvictError, "boom", "s", "")
@@ -197,17 +215,17 @@ func TestPeriodicSnapshotsAndDeltas(t *testing.T) {
 func TestBackwardsClockReanchors(t *testing.T) {
 	clk := &testClock{now: time.Now()}
 	reg := obs.NewRegistry()
-	r := newTestRecorder(clk, Config{Cooldown: 30 * time.Second, SnapshotEvery: 5 * time.Second, Metrics: reg.Snapshot})
-	r.RecordEvent(EventEvict, "s", "", "on the wall clock")
+	r := newTestRecorder(clk, Config{Metrics: reg.Snapshot})
+	r.event(obs.EventEvict, "s", "", "on the wall clock")
 	if _, ok := r.Trigger(TriggerBreakerOpen, "wall-clock capture", "", ""); !ok {
 		t.Fatal("first trigger should capture")
 	}
 	// The virtual clock lands far in the past.
 	clk.Set(time.Unix(0, 0).Add(time.Hour))
-	if !r.Armed(TriggerBreakerOpen) {
+	if !r.armed(TriggerBreakerOpen) {
 		t.Error("backwards clock jump should re-arm the trigger")
 	}
-	r.RecordEvent(EventEvict, "s", "", "on the virtual clock")
+	r.event(obs.EventEvict, "s", "", "on the virtual clock")
 	if _, ok := r.Trigger(TriggerBreakerOpen, "virtual-clock capture", "", ""); !ok {
 		t.Error("trigger after the backwards jump should capture")
 	}
@@ -217,19 +235,19 @@ func TestBackwardsClockReanchors(t *testing.T) {
 // the in-memory incident cap.
 func TestIncidentListAndBoundedRetention(t *testing.T) {
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{MaxIncidents: 3, Cooldown: time.Second})
+	r := newTestRecorder(clk, Config{})
 	var last string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < MaxIncidents+2; i++ {
 		id, ok := r.Trigger(TriggerSignal, "capture", "", "")
 		if !ok {
 			t.Fatalf("capture %d suppressed", i)
 		}
 		last = id
-		clk.Advance(2 * time.Second)
+		clk.Advance(Cooldown)
 	}
 	list := r.Incidents()
-	if len(list) != 3 {
-		t.Fatalf("retained %d incidents, want 3", len(list))
+	if len(list) != MaxIncidents {
+		t.Fatalf("retained %d incidents, want %d", len(list), MaxIncidents)
 	}
 	if list[0].ID != last {
 		t.Errorf("newest first: got %s, want %s", list[0].ID, last)
@@ -246,32 +264,33 @@ func TestIncidentListAndBoundedRetention(t *testing.T) {
 func TestDiskBundlesWritePruneAndReadBack(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{MaxIncidents: 2, Cooldown: time.Second, Dir: dir})
-	r.RecordEvent(EventBreaker, "s1", "", "geocoder: closed -> open")
+	r := newTestRecorder(clk, Config{Dir: dir})
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < MaxIncidents+2; i++ {
+		r.event(obs.EventBreaker, "s1", "", "geocoder: open -> half-open")
 		id, ok := r.Trigger(TriggerBreakerOpen, "tripped", "s1", "")
 		if !ok {
 			t.Fatalf("capture %d suppressed", i)
 		}
 		ids = append(ids, id)
-		clk.Advance(2 * time.Second)
+		clk.Advance(Cooldown)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 2 {
-		t.Fatalf("disk holds %d bundles, want 2 (pruned): %v", len(files), files)
+	if len(files) != MaxIncidents {
+		t.Fatalf("disk holds %d bundles, want %d (pruned): %v", len(files), MaxIncidents, files)
 	}
-	inc, err := ReadBundle(filepath.Join(dir, ids[3]+".json"))
+	last := ids[len(ids)-1]
+	inc, err := ReadBundle(filepath.Join(dir, last+".json"))
 	if err != nil {
 		t.Fatalf("ReadBundle: %v", err)
 	}
-	if inc.ID != ids[3] || inc.Trigger != TriggerBreakerOpen {
+	if inc.ID != last || inc.Trigger != TriggerBreakerOpen {
 		t.Errorf("round-trip mismatch: %+v", inc)
 	}
-	if len(inc.Events) == 0 || inc.Events[0].Detail != "geocoder: closed -> open" {
+	if len(inc.Events) == 0 || inc.Events[0].Detail != "geocoder: open -> half-open" {
 		t.Errorf("bundle lost its timeline: %+v", inc.Events)
 	}
 	// Not-a-bundle files are rejected with a useful error.
@@ -294,19 +313,21 @@ func TestRenderTimelineNamesTheStory(t *testing.T) {
 	clk := newTestClock()
 	reg := obs.NewRegistry()
 	trips := reg.Counter("resilience.breaker_trips")
-	r := newTestRecorder(clk, Config{SnapshotEvery: 5 * time.Second, Metrics: reg.Snapshot})
-	r.RecordEvent(EventEvict, "s1", "acme", "warm-up") // initial snapshot, before the trip
+	r := newTestRecorder(clk, Config{Metrics: reg.Snapshot})
+	r.event(obs.EventEvict, "s1", "acme", "warm-up") // initial snapshot, before the trip
 	clk.Advance(2 * time.Second)
 	trips.Inc()
-	r.RecordEvent(EventBreaker, "s1", "", "geocoder: closed -> open")
-	r.ObserveSpan(obs.SpanEvent{Seq: 9, Name: "stage.execute", DurNs: 250_000, Attrs: []obs.Attr{
+	r.span(obs.SpanEvent{Name: "stage.execute", DurNs: 250_000, Attrs: []obs.Attr{
 		{Key: "session", Value: "s1"}, {Key: "breaker", Value: "geocoder"},
 	}})
-	r.ObserveDecision(obs.Decision{Seq: 2, Session: "s1", Stage: "suggest.columns", Candidate: "Zip", Action: obs.ActionDegraded, Reason: "rows dropped"})
-	id, ok := r.Trigger(TriggerBreakerOpen, "geocoder: closed -> open", "s1", "acme")
-	if !ok {
-		t.Fatal("trigger should capture")
+	r.decision(obs.Decision{Seq: 2, Session: "s1", Stage: "suggest.columns", Candidate: "Zip", Action: obs.ActionDegraded, Reason: "rows dropped"})
+	// The transition to open is itself the trigger.
+	r.event(obs.EventBreaker, "s1", "acme", "geocoder: closed -> open")
+	list := r.Incidents()
+	if len(list) != 1 {
+		t.Fatalf("breaker opening captured %d bundles, want 1", len(list))
 	}
+	id := list[0].ID
 	inc, _ := r.Incident(id)
 	out := RenderTimeline(inc)
 	for _, want := range []string{
@@ -333,9 +354,9 @@ func TestRenderTimelineNamesTheStory(t *testing.T) {
 func TestSummaryCountsMatchBundle(t *testing.T) {
 	clk := newTestClock()
 	r := newTestRecorder(clk, Config{})
-	r.RecordEvent(EventShed, "", "acme", "capacity")
-	r.ObserveSpan(obs.SpanEvent{Name: "a"})
-	r.ObserveSpan(obs.SpanEvent{Name: "b"})
+	r.event(obs.EventShed, "", "acme", "capacity")
+	r.span(obs.SpanEvent{Name: "a"})
+	r.span(obs.SpanEvent{Name: "b"})
 	id, _ := r.Trigger(TriggerSignal, "capture", "", "acme")
 	list := r.Incidents()
 	if len(list) != 1 {
@@ -353,7 +374,7 @@ func TestSummaryCountsMatchBundle(t *testing.T) {
 func TestRegistryCountersExported(t *testing.T) {
 	clk := newTestClock()
 	reg := obs.NewRegistry()
-	r := newTestRecorder(clk, Config{Registry: reg, Cooldown: time.Minute})
+	r := newTestRecorder(clk, Config{Registry: reg})
 	snap := reg.Snapshot()
 	if v, ok := snap.Counters["incidents.captured"]; !ok || v != 0 {
 		t.Errorf("incidents.captured should pre-exist at 0, got %d (present %v)", v, ok)
@@ -369,5 +390,52 @@ func TestRegistryCountersExported(t *testing.T) {
 	}
 	if snap.Gauges["incidents.stored"] != 1 {
 		t.Errorf("incidents.stored = %f, want 1", snap.Gauges["incidents.stored"])
+	}
+}
+
+// TestTriggerRules checks which published events capture a bundle, and
+// with what reason and attribution.
+func TestTriggerRules(t *testing.T) {
+	clk := newTestClock()
+	r := newTestRecorder(clk, Config{})
+	r.event(obs.EventEvict, "s1", "acme", "evicted to store")
+	r.event(obs.EventShed, "", "acme", "capacity")
+	r.event(obs.EventBreaker, "", "", "geocoder: half-open -> closed")
+	if n := len(r.Incidents()); n != 0 {
+		t.Fatalf("non-trigger events captured %d bundles", n)
+	}
+	r.event(obs.EventEvictError, "s1", "acme", "disk full")
+	r.event(obs.EventRefineFailed, "s2", "", "exact refinement returned no trees")
+	r.event(obs.EventQuarantine, "s3", "", "bad checksum")
+	r.event(obs.EventBreaker, "s4", "", "geocoder: closed -> open")
+	want := map[string]Summary{
+		TriggerEvictError:      {Reason: "disk full", Session: "s1", Tenant: "acme"},
+		TriggerRefineFailure:   {Reason: "exact refinement returned no trees", Session: "s2"},
+		TriggerStoreQuarantine: {Reason: "s3: bad checksum", Session: "s3"},
+		TriggerBreakerOpen:     {Reason: "geocoder: closed -> open", Session: "s4"},
+	}
+	list := r.Incidents()
+	if len(list) != len(want) {
+		t.Fatalf("captured %d bundles, want %d: %+v", len(list), len(want), list)
+	}
+	for _, got := range list {
+		w := want[got.Trigger]
+		if got.Reason != w.Reason || got.Session != w.Session || got.Tenant != w.Tenant {
+			t.Errorf("%s captured %+v, want reason %q session %q tenant %q",
+				got.Trigger, got, w.Reason, w.Session, w.Tenant)
+		}
+	}
+
+	// A stage completion of the SLO stage captures once the fast-burn
+	// alert is raised: every refresh far over the threshold.
+	for i := 0; i < 10; i++ {
+		r.stream.Publish(obs.Event{Kind: obs.KindStage, Name: "rank.mira", Dur: time.Second})
+	}
+	if n := len(r.Incidents()); n != len(want) {
+		t.Fatalf("stages outside the objective captured: %d bundles", n)
+	}
+	r.stream.Publish(obs.Event{Kind: obs.KindStage, Name: obs.SLOStage, Dur: time.Second, Session: "s5"})
+	if got := r.Incidents()[0]; got.Trigger != TriggerSLOFastBurn || got.Session != "s5" {
+		t.Fatalf("slow refresh should capture an SLO fast-burn bundle, newest is %+v", got)
 	}
 }

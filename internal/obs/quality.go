@@ -203,11 +203,10 @@ var rankBucketNames = [QualityRankBuckets]string{
 	"quality.accepted_rank_3plus",
 }
 
-// Fold adds the tracker's state to a metrics snapshot as "quality.*"
-// counters and gauges, so /metrics, :metrics, and scpbench -json all
-// carry the quality families with zero extra exposition plumbing.
-func (t *QualityTracker) Fold(snap Snapshot) {
-	st := t.Snapshot()
+// Fold adds the stats to a metrics snapshot as "quality.*" counters and
+// gauges, so /metrics, :metrics, and scpbench -json all carry the
+// quality families with zero extra exposition plumbing.
+func (st QualityStats) Fold(snap Snapshot) {
 	snap.Counters["quality.accepts"] = st.TotalAccepts
 	snap.Counters["quality.rejects"] = st.TotalRejects
 	snap.Counters["quality.accepts_undone"] = st.AcceptsUndone

@@ -83,7 +83,7 @@ func TestQualityFold(t *testing.T) {
 	q.Accept(FeedbackQueries, 2, 2)
 	q.Reject(FeedbackColumns)
 	snap := NewRegistry().Snapshot()
-	q.Fold(snap)
+	q.Snapshot().Fold(snap)
 	for name, want := range map[string]int64{
 		"quality.accepts":          2,
 		"quality.rejects":          1,

@@ -2,77 +2,68 @@ package obs
 
 import "sync"
 
-// SpanEvent is one finished span as published to a live exporter, in
-// end order with the trace's internal ids. Live streaming cannot use
-// the deterministic export reordering (that requires the whole span
-// set); consumers that need diffable output still use WriteJSONL /
-// WriteChrome on the completed trace.
-type SpanEvent struct {
-	Seq     int64  `json:"seq"` // ring sequence number, monotonically increasing
-	ID      int64  `json:"id"`
-	Parent  int64  `json:"parent"`
-	Name    string `json:"name"`
-	Cat     string `json:"cat"`
-	StartNs int64  `json:"start_ns"`
-	DurNs   int64  `json:"dur_ns"`
-	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
-// SpanRing is a bounded ring buffer of finished spans feeding the
-// telemetry server's /trace/stream endpoint: the tracer publishes every
-// ended span, the ring keeps the most recent `cap`, and any number of
-// stream subscribers read forward from a cursor, waiting on a broadcast
-// channel for more. Safe for concurrent use; a nil *SpanRing is inert.
-type SpanRing struct {
+// Ring is the one bounded buffer of the observability layer: the event
+// stream's recent past, the decision log, and the flight recorder's
+// metric snapshots and incidents all live in one. It keeps the most
+// recent Cap entries, numbering every push with a sequence number
+// (0, 1, 2, ...). Once full, a push overwrites the oldest entry in
+// place: it copies no retained entry and allocates nothing. The backing
+// array grows on demand up to Cap, so a ring that never fills never
+// pays for its full capacity.
+//
+// Readers resume from a cursor with Since, which also hands back a
+// channel that closes on the next push — the follow loop of a live
+// subscriber. The channel exists only while someone waits for it. Safe
+// for concurrent use; a nil *Ring is inert.
+type Ring[T any] struct {
 	mu      sync.Mutex
 	cap     int
-	buf     []SpanEvent
-	next    int64 // sequence number the next published span receives
-	notify  chan struct{}
-	dropped int64 // spans slow subscribers missed (cursor fell off the ring)
+	buf     []T
+	head    int   // index of the oldest entry once buf is full
+	next    int64 // sequence number of the next push
+	wake    chan struct{}
+	dropped int64 // entries lagging readers missed
 }
 
-// DefaultSpanRingSize bounds the live-span buffer: enough for several
-// suggestion refreshes' worth of spans without unbounded growth when no
-// client is streaming.
-const DefaultSpanRingSize = 4096
-
-// NewSpanRing creates a ring holding the most recent `capacity` spans.
-func NewSpanRing(capacity int) *SpanRing {
+// NewRing creates a ring retaining the most recent capacity entries
+// (at least one).
+func NewRing[T any](capacity int) *Ring[T] {
 	if capacity < 1 {
-		capacity = DefaultSpanRingSize
+		capacity = 1
 	}
-	return &SpanRing{cap: capacity, notify: make(chan struct{})}
+	return &Ring[T]{cap: capacity}
 }
 
-// Publish appends one span event, evicting the oldest on overflow, and
-// wakes every waiting subscriber. The event's Seq is assigned here.
-func (r *SpanRing) Publish(ev SpanEvent) {
+// Push appends v, overwriting the oldest entry when the ring is full,
+// wakes every waiting reader, and returns v's sequence number.
+func (r *Ring[T]) Push(v T) int64 {
 	if r == nil {
-		return
+		return 0
 	}
 	r.mu.Lock()
-	ev.Seq = r.next
-	r.next++
-	r.buf = append(r.buf, ev)
-	if len(r.buf) > r.cap {
-		// Copy down instead of re-slicing so the backing array's dropped
-		// prefix is reclaimable.
-		n := copy(r.buf, r.buf[len(r.buf)-r.cap:])
-		r.buf = r.buf[:n]
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.head] = v
+		r.head = (r.head + 1) % r.cap
 	}
-	close(r.notify)
-	r.notify = make(chan struct{})
+	seq := r.next
+	r.next++
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 	r.mu.Unlock()
+	return seq
 }
 
-// Since returns a copy of every buffered event with Seq >= cursor, the
-// cursor to resume from, and a channel that closes on the next Publish
-// — the subscriber loop is: drain, write, select on wait/ctx, repeat.
-// A subscriber that fell behind the ring's capacity resumes at the
-// oldest retained span; the spans it missed are counted in Dropped()
-// (exported as the spans.dropped counter) so the loss is observable.
-func (r *SpanRing) Since(cursor int64) (events []SpanEvent, next int64, wait <-chan struct{}) {
+// Since returns a copy of every retained entry with sequence number >=
+// cursor, oldest first, the cursor to resume from, and a channel that
+// closes on the next Push. Entry i of the result has sequence number
+// next-len(entries)+i. A reader whose cursor fell behind the ring
+// resumes at the oldest retained entry and the entries it missed are
+// counted in Dropped; cursor 0 is a fresh reader, never a lagging one.
+func (r *Ring[T]) Since(cursor int64) (entries []T, next int64, wake <-chan struct{}) {
 	if r == nil {
 		closed := make(chan struct{})
 		close(closed)
@@ -82,22 +73,27 @@ func (r *SpanRing) Since(cursor int64) (events []SpanEvent, next int64, wait <-c
 	defer r.mu.Unlock()
 	first := r.next - int64(len(r.buf))
 	if cursor < first {
-		// cursor > 0 distinguishes a lagging subscriber from a fresh one
-		// (fresh subscribers start at 0, which is legitimately below
-		// `first` once the ring has wrapped).
 		if cursor > 0 {
 			r.dropped += first - cursor
 		}
 		cursor = first
 	}
-	if cursor < r.next {
-		events = append(events, r.buf[cursor-first:]...)
+	if n := r.next - cursor; n > 0 {
+		entries = make([]T, 0, n)
+		skip := int(cursor - first)
+		// Oldest-first order is buf[head:] then buf[:head].
+		for i := skip; i < len(r.buf); i++ {
+			entries = append(entries, r.buf[(r.head+i)%len(r.buf)])
+		}
 	}
-	return events, r.next, r.notify
+	if r.wake == nil {
+		r.wake = make(chan struct{})
+	}
+	return entries, r.next, r.wake
 }
 
-// Len reports how many spans the ring currently retains.
-func (r *SpanRing) Len() int {
+// Len reports how many entries the ring retains.
+func (r *Ring[T]) Len() int {
 	if r == nil {
 		return 0
 	}
@@ -106,9 +102,9 @@ func (r *SpanRing) Len() int {
 	return len(r.buf)
 }
 
-// Dropped reports how many spans slow subscribers have missed in total
-// (cursor fell behind the ring's retention).
-func (r *SpanRing) Dropped() int64 {
+// Dropped reports how many entries lagging readers have missed in
+// total.
+func (r *Ring[T]) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
@@ -117,10 +113,12 @@ func (r *SpanRing) Dropped() int64 {
 	return r.dropped
 }
 
-// Cap reports the ring's capacity.
-func (r *SpanRing) Cap() int {
+// Reset discards every retained entry; sequence numbering continues.
+func (r *Ring[T]) Reset() {
 	if r == nil {
-		return 0
+		return
 	}
-	return r.cap
+	r.mu.Lock()
+	r.buf, r.head = nil, 0
+	r.mu.Unlock()
 }

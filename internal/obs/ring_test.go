@@ -4,21 +4,27 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"copycat/internal/resilience"
 )
 
+// publishSpan publishes one span end on s.
+func publishSpan(s *Stream, sp SpanEvent) { s.Publish(Event{Kind: KindSpan, Span: sp}) }
+
+// The span feed behind /trace/stream is the stream's ring: these tests
+// pin its publish/since, eviction, wake-up, nil, and dropped contracts.
+
 func TestSpanRingPublishSince(t *testing.T) {
-	r := NewSpanRing(4)
+	r := NewStream(NewVirtualClock())
 	for i := 0; i < 3; i++ {
-		r.Publish(SpanEvent{Name: "s", DurNs: int64(i)})
+		publishSpan(r, SpanEvent{Name: "s", DurNs: int64(i)})
 	}
+	// Dispatch-only kinds are not retained.
+	r.Publish(Event{Kind: KindStage, Name: "suggest.refresh"})
 	events, next, _ := r.Since(0)
 	if len(events) != 3 || next != 3 {
 		t.Fatalf("Since(0) = %d events, next %d", len(events), next)
 	}
 	for i, ev := range events {
-		if ev.Seq != int64(i) || ev.DurNs != int64(i) {
+		if ev.Seq != int64(i) || ev.Span.DurNs != int64(i) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
@@ -29,31 +35,28 @@ func TestSpanRingPublishSince(t *testing.T) {
 }
 
 func TestSpanRingEviction(t *testing.T) {
-	r := NewSpanRing(4)
-	for i := 0; i < 10; i++ {
-		r.Publish(SpanEvent{DurNs: int64(i)})
-	}
-	if r.Len() != 4 || r.Cap() != 4 {
-		t.Fatalf("len/cap = %d/%d", r.Len(), r.Cap())
+	r := NewStream(NewVirtualClock())
+	for i := 0; i < StreamCapacity+6; i++ {
+		publishSpan(r, SpanEvent{DurNs: int64(i)})
 	}
 	// A cursor older than the retained window resumes at the oldest span.
 	events, next, _ := r.Since(0)
-	if len(events) != 4 || events[0].Seq != 6 || next != 10 {
+	if len(events) != StreamCapacity || events[0].Seq != 6 || events[0].Span.DurNs != 6 || next != StreamCapacity+6 {
 		t.Fatalf("Since(0) after eviction = %d events, first seq %d, next %d",
 			len(events), events[0].Seq, next)
 	}
 }
 
 func TestSpanRingWaitWakesOnPublish(t *testing.T) {
-	r := NewSpanRing(8)
+	r := NewStream(nil)
 	_, cursor, wait := r.Since(0)
 	done := make(chan SpanEvent, 1)
 	go func() {
 		<-wait
 		events, _, _ := r.Since(cursor)
-		done <- events[0]
+		done <- events[0].Span
 	}()
-	r.Publish(SpanEvent{Name: "wake"})
+	publishSpan(r, SpanEvent{Name: "wake"})
 	select {
 	case ev := <-done:
 		if ev.Name != "wake" {
@@ -65,11 +68,11 @@ func TestSpanRingWaitWakesOnPublish(t *testing.T) {
 }
 
 func TestSpanRingNil(t *testing.T) {
-	var r *SpanRing
-	r.Publish(SpanEvent{}) // must not panic
+	var r *Stream
+	publishSpan(r, SpanEvent{}) // must not panic
 	events, next, wait := r.Since(0)
-	if len(events) != 0 || next != 0 || r.Len() != 0 || r.Cap() != 0 {
-		t.Fatal("nil ring should read as empty")
+	if len(events) != 0 || next != 0 || r.Dropped() != 0 {
+		t.Fatal("nil stream should read as empty")
 	}
 	select {
 	case <-wait: // nil ring's wait channel is pre-closed: no hang
@@ -79,10 +82,18 @@ func TestSpanRingNil(t *testing.T) {
 }
 
 func TestTraceSinkPublishesEndedSpans(t *testing.T) {
-	clock := resilience.NewVirtualClock()
+	clock := NewVirtualClock()
 	tr := NewTrace(clock)
-	ring := NewSpanRing(16)
-	tr.SetSink(ring.Publish)
+	ring := NewStream(clock)
+	tr.SetStream(ring)
+	spans := func() []SpanEvent {
+		events, _, _ := ring.Since(0)
+		out := make([]SpanEvent, len(events))
+		for i, ev := range events {
+			out[i] = ev.Span
+		}
+		return out
+	}
 
 	root := tr.Start("refresh", "stage")
 	clock.Advance(time.Millisecond)
@@ -92,7 +103,7 @@ func TestTraceSinkPublishesEndedSpans(t *testing.T) {
 	child.End()
 	root.End()
 
-	events, _, _ := ring.Since(0)
+	events := spans()
 	if len(events) != 2 {
 		t.Fatalf("ring has %d events, want 2 (end order)", len(events))
 	}
@@ -109,19 +120,20 @@ func TestTraceSinkPublishesEndedSpans(t *testing.T) {
 		t.Fatalf("attrs = %+v", events[0].Attrs)
 	}
 
-	// Removing the sink stops publication; the trace itself still records.
-	tr.SetSink(nil)
+	// Detaching the stream stops publication; the trace itself still
+	// records.
+	tr.SetStream(nil)
 	tr.Start("quiet", "stage").End()
-	if ring.Len() != 2 {
-		t.Fatal("sink removal should stop publication")
+	if len(spans()) != 2 {
+		t.Fatal("detaching the stream should stop publication")
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("trace len = %d, want 3", tr.Len())
 	}
 
-	// Concurrent spans publishing into one ring race-cleanly.
+	// Concurrent spans publishing into one stream race-cleanly.
 	var wg sync.WaitGroup
-	tr.SetSink(ring.Publish)
+	tr.SetStream(ring)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -132,19 +144,21 @@ func TestTraceSinkPublishesEndedSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ring.Len() != 16 {
-		t.Fatalf("ring should sit at capacity, len=%d", ring.Len())
+	if got := len(spans()); got != 202 {
+		t.Fatalf("stream retained %d spans, want 202", got)
 	}
 }
 
 // TestSpanRingDroppedCountsSlowSubscribers is the spans.dropped
-// contract: a subscriber whose cursor fell off the ring resumes at the
-// oldest retained span and the miss is counted, while fresh subscribers
+// contract, on the generic ring the stream keeps its events in: a
+// subscriber whose cursor fell off the ring resumes at the oldest
+// retained entry and the miss is counted, while fresh subscribers
 // (cursor 0 on an already-wrapped ring) are not counted as losses.
 func TestSpanRingDroppedCountsSlowSubscribers(t *testing.T) {
-	ring := NewSpanRing(4)
+	ring := NewRing[SpanEvent](4)
+	seqOf := func(next int64, events []SpanEvent) int64 { return next - int64(len(events)) }
 	for i := 0; i < 2; i++ {
-		ring.Publish(SpanEvent{Name: "early"})
+		ring.Push(SpanEvent{Name: "early"})
 	}
 	_, cursor, _ := ring.Since(0) // subscriber caught up at seq 2
 	if cursor != 2 {
@@ -154,7 +168,7 @@ func TestSpanRingDroppedCountsSlowSubscribers(t *testing.T) {
 	// The ring wraps while the subscriber sleeps: seqs 2..7 are gone
 	// except the last 4 (6..9 retained, first=6).
 	for i := 0; i < 8; i++ {
-		ring.Publish(SpanEvent{Name: "burst"})
+		ring.Push(SpanEvent{Name: "burst"})
 	}
 
 	// A fresh subscriber starting at 0 is not a loss.
@@ -171,8 +185,8 @@ func TestSpanRingDroppedCountsSlowSubscribers(t *testing.T) {
 	if len(events) != 4 || next != 10 {
 		t.Fatalf("lagging subscriber got %d events next=%d, want 4 events next=10", len(events), next)
 	}
-	if events[0].Seq != 6 {
-		t.Fatalf("resumed at seq %d, want 6 (oldest retained)", events[0].Seq)
+	if seq := seqOf(next, events); seq != 6 {
+		t.Fatalf("resumed at seq %d, want 6 (oldest retained)", seq)
 	}
 	if got := ring.Dropped(); got != 4 {
 		t.Fatalf("Dropped = %d, want 4", got)
@@ -180,7 +194,7 @@ func TestSpanRingDroppedCountsSlowSubscribers(t *testing.T) {
 
 	// Losses accumulate across subscribers.
 	for i := 0; i < 6; i++ {
-		ring.Publish(SpanEvent{Name: "more"})
+		ring.Push(SpanEvent{Name: "more"})
 	}
 	ring.Since(next) // next=10, first=12 → 2 more dropped
 	if got := ring.Dropped(); got != 6 {
@@ -188,8 +202,60 @@ func TestSpanRingDroppedCountsSlowSubscribers(t *testing.T) {
 	}
 
 	// Nil ring stays inert.
-	var nilRing *SpanRing
+	var nilRing *Ring[SpanEvent]
 	if got := nilRing.Dropped(); got != 0 {
 		t.Fatalf("nil ring Dropped = %d", got)
+	}
+}
+
+func TestRingOverwritesOldestInPlace(t *testing.T) {
+	r := NewRing[int](3)
+	for i := 0; i < 7; i++ {
+		if seq := r.Push(i); seq != int64(i) {
+			t.Fatalf("push %d got seq %d", i, seq)
+		}
+	}
+	got, next, _ := r.Since(0)
+	if next != 7 || len(got) != 3 || got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("Since(0) = %v next %d, want [4 5 6] next 7", got, next)
+	}
+	if got, _, _ := r.Since(5); len(got) != 2 || got[0] != 5 {
+		t.Fatalf("Since(5) = %v, want [5 6]", got)
+	}
+	r.Reset()
+	if r.Len() != 0 {
+		t.Fatalf("after Reset len = %d", r.Len())
+	}
+	if seq := r.Push(9); seq != 7 {
+		t.Fatalf("sequence should continue across Reset, got %d", seq)
+	}
+}
+
+// TestRingPushFullAllocatesNothing: once full, a push overwrites the
+// oldest entry in place — no copy of retained entries, no allocation —
+// as long as no reader waits on the wake channel.
+func TestRingPushFullAllocatesNothing(t *testing.T) {
+	r := NewRing[Event](StreamCapacity)
+	for i := 0; i < StreamCapacity; i++ {
+		r.Push(Event{})
+	}
+	ev := Event{Kind: KindSpan, Span: SpanEvent{Name: "x"}}
+	if n := testing.AllocsPerRun(1000, func() { r.Push(ev) }); n != 0 {
+		t.Fatalf("push on a full ring allocates %.1f times", n)
+	}
+}
+
+// BenchmarkRingPushFull measures the steady-state publish cost of a full
+// stream-sized ring.
+func BenchmarkRingPushFull(b *testing.B) {
+	r := NewRing[Event](StreamCapacity)
+	for i := 0; i < StreamCapacity; i++ {
+		r.Push(Event{})
+	}
+	ev := Event{Kind: KindSpan, Span: SpanEvent{Name: "x"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Push(ev)
 	}
 }

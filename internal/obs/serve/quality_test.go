@@ -86,7 +86,7 @@ func TestMetricsCarriesQualityFamilies(t *testing.T) {
 	q := sampleQuality()
 	metrics := func() obs.Snapshot {
 		snap := sampleSnapshot()
-		q.Fold(snap)
+		q.Snapshot().Fold(snap)
 		return snap
 	}
 	s := New(Config{Metrics: metrics, Quality: sampleQualityReport})

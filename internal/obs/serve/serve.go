@@ -59,11 +59,9 @@ type Config struct {
 	Metrics func() obs.Snapshot
 	// Breakers snapshots per-service circuit breaker state per scrape.
 	Breakers func() []resilience.BreakerStatus
-	// SLO is the latency-objective tracker surfaced in /metrics,
-	// /healthz, and /slo.
-	SLO *obs.SLOTracker
-	// Ring is the live span buffer behind /trace/stream.
-	Ring *obs.SpanRing
+	// Stream is the event stream whose SLO status /metrics, /healthz,
+	// and /slo surface, and whose retained spans /trace/stream serves.
+	Stream *obs.Stream
 	// Decisions is the decision log behind /decisions.
 	Decisions *obs.DecisionLog
 	// Incidents is the flight recorder behind GET /incidents (list) and
@@ -207,8 +205,8 @@ func (s *Server) snapshot() (obs.Snapshot, []resilience.BreakerStatus, *obs.SLOS
 		breakers = s.cfg.Breakers()
 	}
 	var slo *obs.SLOStatus
-	if s.cfg.SLO != nil {
-		st := s.cfg.SLO.Status()
+	if s.cfg.Stream != nil {
+		st := s.cfg.Stream.SLO()
 		slo = &st
 	}
 	return snap, breakers, slo
@@ -269,13 +267,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.SLO.Status())
+	writeJSON(w, http.StatusOK, s.cfg.Stream.SLO())
 }
 
-// handleTraceStream serves the span ring as JSONL. The default is
-// dump-and-close (curl-friendly); ?follow=1 keeps the response open,
-// flushing spans as the pipeline ends them, until the client
-// disconnects or the server drains.
+// handleTraceStream serves the stream's retained spans as JSONL, one
+// whole encoded line per span. The default is dump-and-close
+// (curl-friendly); ?follow=1 keeps the response open, flushing spans as
+// the pipeline ends them, until the client disconnects or the server
+// drains.
 func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -284,10 +283,15 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var cursor int64
 	for {
-		events, next, wait := s.cfg.Ring.Since(cursor)
+		events, next, wait := s.cfg.Stream.Since(cursor)
 		cursor = next
 		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
+			if ev.Kind != obs.KindSpan {
+				continue
+			}
+			sp := ev.Span
+			sp.Seq = ev.Seq
+			if err := enc.Encode(sp); err != nil {
 				return
 			}
 		}

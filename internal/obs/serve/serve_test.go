@@ -42,10 +42,10 @@ func sampleBreakers() []resilience.BreakerStatus {
 }
 
 func TestExpositionValidCompleteAndDeterministic(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	slo := obs.NewSLOTracker(obs.SLOConfig{}, clock.Now)
-	slo.Observe(2 * time.Millisecond)
-	st := slo.Status()
+	clock := obs.NewVirtualClock()
+	slo := obs.NewSLOTracker()
+	slo.Observe(clock.Now(), 2*time.Millisecond)
+	st := slo.Status(clock.Now())
 
 	var a, b strings.Builder
 	if err := WriteExposition(&a, sampleSnapshot(), sampleBreakers(), &st); err != nil {
@@ -131,7 +131,7 @@ func tripBreaker(t *testing.T, c *resilience.Caller, service string) {
 }
 
 func TestHealthzFlipsUnhealthyWhenBreakerOpens(t *testing.T) {
-	clock := resilience.NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	policy := resilience.DefaultPolicy()
 	policy.Clock = clock
 	caller := resilience.NewCaller(policy, resilience.DefaultBreakerConfig())
@@ -192,10 +192,13 @@ func TestHealthzFlipsUnhealthyWhenBreakerOpens(t *testing.T) {
 }
 
 func TestHealthzSLOFastBurnAlert(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	slo := obs.NewSLOTracker(obs.SLOConfig{}, clock.Now)
+	clock := obs.NewVirtualClock()
+	stream := obs.NewStream(clock)
+	refresh := func(d time.Duration) {
+		stream.Publish(obs.Event{Kind: obs.KindStage, Name: obs.SLOStage, Dur: d})
+	}
 	reg := obs.NewRegistry()
-	s := New(Config{Metrics: reg.Snapshot, SLO: slo})
+	s := New(Config{Metrics: reg.Snapshot, Stream: stream})
 	get := func(path string) (int, string) {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -204,7 +207,7 @@ func TestHealthzSLOFastBurnAlert(t *testing.T) {
 
 	// Healthy traffic: fast refreshes, no burn.
 	for i := 0; i < 100; i++ {
-		slo.Observe(2 * time.Millisecond)
+		refresh(2 * time.Millisecond)
 		clock.Advance(time.Second)
 	}
 	if code, _ := get("/healthz"); code != http.StatusOK {
@@ -213,7 +216,7 @@ func TestHealthzSLOFastBurnAlert(t *testing.T) {
 
 	// Inject slow refreshes until the fast window burns hot.
 	for i := 0; i < 100; i++ {
-		slo.Observe(40 * time.Millisecond)
+		refresh(40 * time.Millisecond)
 		clock.Advance(time.Second)
 	}
 	code, body := get("/healthz")
@@ -258,14 +261,18 @@ func TestHealthDegradedRowRate(t *testing.T) {
 }
 
 func TestTraceStreamDumpAndFollow(t *testing.T) {
-	ring := obs.NewSpanRing(16)
+	stream := obs.NewStream(nil)
+	publish := func(sp obs.SpanEvent) { stream.Publish(obs.Event{Kind: obs.KindSpan, Span: sp}) }
 	log := obs.NewDecisionLog()
-	s := New(Config{Ring: ring, Decisions: log})
+	log.SetStream(stream)
+	s := New(Config{Stream: stream, Decisions: log})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	ring.Publish(obs.SpanEvent{Name: "refresh", Cat: "stage", DurNs: 100})
-	ring.Publish(obs.SpanEvent{Name: "execute", Cat: "engine", DurNs: 50})
+	publish(obs.SpanEvent{Name: "refresh", Cat: "stage", DurNs: 100})
+	// Decisions share the stream's ring but are not span lines.
+	log.Record(obs.Decision{Stage: "suggest.columns", Candidate: "zip", Action: obs.ActionSuggested})
+	publish(obs.SpanEvent{Name: "execute", Cat: "engine", DurNs: 50})
 
 	// Dump mode: buffered spans, then the response closes.
 	resp, err := http.Get(ts.URL + "/trace/stream")
@@ -302,7 +309,7 @@ func TestTraceStreamDumpAndFollow(t *testing.T) {
 			t.Fatalf("stream closed early: %v", sc.Err())
 		}
 	}
-	go ring.Publish(obs.SpanEvent{Name: "live", DurNs: 7})
+	go publish(obs.SpanEvent{Name: "live", DurNs: 7})
 	if !sc.Scan() {
 		t.Fatalf("no live span arrived: %v", sc.Err())
 	}
@@ -473,8 +480,9 @@ func ExampleWriteExposition() {
 // GET /incidents/{id} (full bundle / 404), plus the nil-recorder and
 // empty-list shapes.
 func TestIncidentsEndpoints(t *testing.T) {
-	rec := flight.New(flight.Config{Cooldown: time.Millisecond, Clock: func() time.Time { return time.Unix(500, 0) }})
-	rec.RecordEvent(flight.EventBreaker, "s1", "", "geocoder: closed -> open")
+	stream := obs.NewStream(obs.NewVirtualClock())
+	rec := flight.New(stream, flight.Config{})
+	stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventBreaker, Session: "s1", Detail: "geocoder: open -> half-open"})
 	id, ok := rec.Trigger(flight.TriggerBreakerOpen, "geocoder tripped", "s1", "acme")
 	if !ok {
 		t.Fatal("trigger should capture")

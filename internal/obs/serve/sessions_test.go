@@ -26,7 +26,7 @@ func newSessionTestServer(t *testing.T, cfg session.Config) (*session.Manager, *
 	t.Helper()
 	cfg.Factory = emptyFactory
 	m := session.NewManager(cfg)
-	srv := New(Config{Host: m, Metrics: m.MetricsSnapshot, SLO: m.SLO(), Ring: m.Ring()})
+	srv := New(Config{Host: m, Metrics: m.MetricsSnapshot, Stream: m.Stream()})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return m, ts

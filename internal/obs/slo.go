@@ -5,125 +5,55 @@ import (
 	"time"
 )
 
-// SLOConfig defines one latency objective over a named pipeline stage:
-// at least Target of the stage's executions should finish within
-// Threshold, judged over rolling windows rather than cumulative
-// since-boot counts.
-type SLOConfig struct {
-	// Stage is the pipeline stage the objective covers (the workspace
-	// observes its stage latencies into the tracker by this name).
-	Stage string
-	// Threshold is the per-execution latency objective; an execution
-	// slower than this consumes error budget.
-	Threshold time.Duration
-	// Target is the fraction of executions that must meet Threshold
-	// (e.g. 0.99). The error budget is 1 - Target.
-	Target float64
-	// FastWindow / SlowWindow are the two burn-rate windows: the fast
-	// one catches sudden regressions, the slow one sustained ones.
-	FastWindow, SlowWindow time.Duration
-	// FastBurnThreshold / SlowBurnThreshold are the burn-rate levels
-	// (error rate ÷ error budget) at which the respective alert fires.
-	FastBurnThreshold, SlowBurnThreshold float64
-	// Slots is how many sub-windows each rolling window is split into.
-	Slots int
-}
+// The latency objective. The repo's benchmarks justify it: BENCH_3 and
+// BENCH_4 put the warm suggestion-refresh p99 well under 25ms, so at
+// least 99% of refreshes should finish within 25ms. It is judged over
+// rolling windows rather than since-boot counts, with the Google-SRE
+// 5m/1h burn windows: the fast alert fires at 14.4x burn (a 30-day
+// budget gone in ~2 days), the slow one at 6x.
+const (
+	// SLOStage is the pipeline stage the objective covers.
+	SLOStage = "suggest.refresh"
+	// SLOThreshold is the per-execution latency objective; a slower
+	// execution spends error budget.
+	SLOThreshold = 25 * time.Millisecond
+	// SLOTarget is the fraction of executions that must meet the
+	// threshold; the error budget is 1 - SLOTarget.
+	SLOTarget = 0.99
 
-// DefaultSLOConfig is the suggestion-refresh objective the repo's
-// benchmarks justify: BENCH_3/BENCH_4 put the warm refresh p99 well
-// under 25ms, so the objective is 99% of refreshes under 25ms, with
-// the Google-SRE-style 5m/1h burn windows (fast alert at 14.4× burn —
-// exhausting a 30-day budget in ~2 days — and slow alert at 6×).
-func DefaultSLOConfig() SLOConfig {
-	return SLOConfig{
-		Stage:             "suggest.refresh",
-		Threshold:         25 * time.Millisecond,
-		Target:            0.99,
-		FastWindow:        5 * time.Minute,
-		SlowWindow:        time.Hour,
-		FastBurnThreshold: 14.4,
-		SlowBurnThreshold: 6,
-		Slots:             15,
-	}
-}
+	sloFastWindow = 5 * time.Minute
+	sloSlowWindow = time.Hour
+	sloFastBurn   = 14.4
+	sloSlowBurn   = 6
+	sloSlots      = 15 // sub-windows per rolling window
+)
 
-// withDefaults fills zero fields from DefaultSLOConfig.
-func (c SLOConfig) withDefaults() SLOConfig {
-	d := DefaultSLOConfig()
-	if c.Stage == "" {
-		c.Stage = d.Stage
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = d.Threshold
-	}
-	if c.Target <= 0 || c.Target >= 1 {
-		c.Target = d.Target
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = d.FastWindow
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = d.SlowWindow
-	}
-	if c.FastBurnThreshold <= 0 {
-		c.FastBurnThreshold = d.FastBurnThreshold
-	}
-	if c.SlowBurnThreshold <= 0 {
-		c.SlowBurnThreshold = d.SlowBurnThreshold
-	}
-	if c.Slots < 2 {
-		c.Slots = d.Slots
-	}
-	return c
-}
-
-// SLOTracker tracks one latency objective over fast and slow rolling
-// windows and computes burn rates from them. Safe for concurrent use;
-// a nil *SLOTracker is inert.
+// SLOTracker tracks the latency objective over a fast and a slow
+// rolling window and computes burn rates from them. Time is passed in
+// by the caller (the event stream, on its clock). Safe for concurrent
+// use; a nil *SLOTracker is inert.
 type SLOTracker struct {
-	cfg  SLOConfig
 	fast *WindowHistogram
 	slow *WindowHistogram
 }
 
-// NewSLOTracker builds a tracker on the given clock func (zero fields
-// of cfg take defaults). Inject a VirtualClock's Now for deterministic
-// burn-rate tests.
-func NewSLOTracker(cfg SLOConfig, now func() time.Time) *SLOTracker {
-	cfg = cfg.withDefaults()
-	if now == nil {
-		now = time.Now
-	}
+// NewSLOTracker builds a tracker for the objective.
+func NewSLOTracker() *SLOTracker {
 	bounds := DefaultLatencyBuckets()
 	return &SLOTracker{
-		cfg:  cfg,
-		fast: NewWindowHistogram(bounds, cfg.FastWindow, cfg.Slots, now),
-		slow: NewWindowHistogram(bounds, cfg.SlowWindow, cfg.Slots, now),
+		fast: NewWindowHistogram(bounds, sloFastWindow, sloSlots),
+		slow: NewWindowHistogram(bounds, sloSlowWindow, sloSlots),
 	}
 }
 
-// Config returns the tracked objective.
-func (t *SLOTracker) Config() SLOConfig {
-	if t == nil {
-		return SLOConfig{}
-	}
-	return t.cfg
-}
-
-// Tracks reports whether the tracker's objective covers the named
-// stage.
-func (t *SLOTracker) Tracks(stage string) bool {
-	return t != nil && t.cfg.Stage == stage
-}
-
-// Observe records one execution of the tracked stage into both burn
-// windows.
-func (t *SLOTracker) Observe(d time.Duration) {
+// Observe records one execution of the tracked stage, finished at now,
+// into both burn windows.
+func (t *SLOTracker) Observe(now time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.fast.Observe(d)
-	t.slow.Observe(d)
+	t.fast.Observe(now, d)
+	t.slow.Observe(now, d)
 }
 
 // SLOStatus is a point-in-time report of the objective: windowed
@@ -166,39 +96,39 @@ func (s SLOStatus) String() string {
 		100*s.Target, time.Duration(s.ThresholdNs), s.FastBurn, s.SlowBurn, state)
 }
 
-// Status computes the current burn rates. Burn rate is the windowed
-// error rate divided by the error budget (1 - Target): burn 1.0 spends
-// budget exactly as fast as the objective allows, 14.4 exhausts a
-// 30-day budget in ~2 days. An empty window reports zero burn (no
+// Status computes the burn rates as of now. Burn rate is the windowed
+// error rate divided by the error budget (1 - SLOTarget): burn 1.0
+// spends budget exactly as fast as the objective allows, 14.4 exhausts
+// a 30-day budget in ~2 days. An empty window reports zero burn (no
 // traffic is not an outage).
-func (t *SLOTracker) Status() SLOStatus {
+func (t *SLOTracker) Status(now time.Time) SLOStatus {
 	if t == nil {
 		return SLOStatus{}
 	}
-	budget := 1 - t.cfg.Target
+	budget := 1 - SLOTarget
 	st := SLOStatus{
-		Stage:             t.cfg.Stage,
-		ThresholdNs:       t.cfg.Threshold.Nanoseconds(),
-		Target:            t.cfg.Target,
+		Stage:             SLOStage,
+		ThresholdNs:       SLOThreshold.Nanoseconds(),
+		Target:            SLOTarget,
 		FastWindowNs:      t.fast.Window().Nanoseconds(),
 		SlowWindowNs:      t.slow.Window().Nanoseconds(),
-		FastBurnThreshold: t.cfg.FastBurnThreshold,
-		SlowBurnThreshold: t.cfg.SlowBurnThreshold,
-		FastP99Ns:         t.fast.Quantile(0.99).Nanoseconds(),
+		FastBurnThreshold: sloFastBurn,
+		SlowBurnThreshold: sloSlowBurn,
+		FastP99Ns:         t.fast.Quantile(now, 0.99).Nanoseconds(),
 	}
-	above, total := t.fast.AboveThreshold(t.cfg.Threshold)
+	above, total := t.fast.AboveThreshold(now, SLOThreshold)
 	st.FastCount = total
 	if total > 0 {
 		st.FastErrRate = float64(above) / float64(total)
 		st.FastBurn = st.FastErrRate / budget
 	}
-	above, total = t.slow.AboveThreshold(t.cfg.Threshold)
+	above, total = t.slow.AboveThreshold(now, SLOThreshold)
 	st.SlowCount = total
 	if total > 0 {
 		st.SlowErrRate = float64(above) / float64(total)
 		st.SlowBurn = st.SlowErrRate / budget
 	}
-	st.FastAlert = st.FastBurn >= t.cfg.FastBurnThreshold
-	st.SlowAlert = st.SlowBurn >= t.cfg.SlowBurnThreshold
+	st.FastAlert = st.FastBurn >= sloFastBurn
+	st.SlowAlert = st.SlowBurn >= sloSlowBurn
 	return st
 }

@@ -2,7 +2,7 @@
 // metrics registry (counters, gauges, latency histograms), and a
 // decision log explaining why candidate queries were pruned, degraded,
 // or outranked. The whole package is zero-dependency (stdlib plus the
-// repo's own resilience.Clock), concurrency-safe, and deterministic
+// repo's own Clock), concurrency-safe, and deterministic
 // under an injectable clock — experiments on a VirtualClock produce
 // byte-identical trace exports run after run.
 //
@@ -19,8 +19,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"copycat/internal/resilience"
 )
 
 // Attr is one key=value annotation on a span.
@@ -76,6 +74,22 @@ func (s *Span) End() {
 	s.tr.record(s, s.tr.clock.Now())
 }
 
+// SpanEvent is one finished span as published on the event stream and
+// served by /trace/stream, in end order with the trace's internal ids.
+// Live streaming cannot use the deterministic export reordering (that
+// requires the whole span set); consumers that need diffable output
+// still use WriteJSONL / WriteChrome on the completed trace.
+type SpanEvent struct {
+	Seq     int64  `json:"seq"` // stream sequence number, monotonically increasing
+	ID      int64  `json:"id"`
+	Parent  int64  `json:"parent"`
+	Name    string `json:"name"`
+	Cat     string `json:"cat"`
+	StartNs int64  `json:"start_ns"`
+	DurNs   int64  `json:"dur_ns"`
+	Attrs   []Attr `json:"attrs,omitempty"`
+}
+
 // spanRec is a finished span as stored by the trace.
 type spanRec struct {
 	id, parentID int64
@@ -90,29 +104,29 @@ type spanRec struct {
 // trace. A nil *Trace is inert — Start returns nil and every derived
 // call no-ops — which is the disabled fast path.
 type Trace struct {
-	clock resilience.Clock
+	clock Clock
 	epoch time.Time
 
 	mu     sync.Mutex
 	nextID int64
 	spans  []spanRec
-	sink   func(SpanEvent)
+	stream *Stream // every ended span is published here (nil: none)
 }
 
 // NewTrace creates a trace on the given clock; nil means the wall
 // clock. The trace epoch (timestamp zero of every export) is the
 // clock's Now at creation.
-func NewTrace(clock resilience.Clock) *Trace {
+func NewTrace(clock Clock) *Trace {
 	if clock == nil {
-		clock = resilience.SystemClock{}
+		clock = SystemClock{}
 	}
 	return &Trace{clock: clock, epoch: clock.Now()}
 }
 
 // Clock returns the clock the trace timestamps with.
-func (t *Trace) Clock() resilience.Clock {
+func (t *Trace) Clock() Clock {
 	if t == nil {
-		return resilience.SystemClock{}
+		return SystemClock{}
 	}
 	return t.clock
 }
@@ -145,12 +159,12 @@ func (t *Trace) record(s *Span, end time.Time) {
 	}
 	t.mu.Lock()
 	t.spans = append(t.spans, rec)
-	sink := t.sink
+	stream := t.stream
 	t.mu.Unlock()
-	if sink != nil {
-		// Outside the lock: the sink (a SpanRing) takes its own mutex and
-		// may wake stream subscribers.
-		sink(SpanEvent{
+	if stream != nil {
+		// Outside the lock: the stream takes its own and may wake
+		// /trace/stream followers.
+		stream.Publish(Event{Kind: KindSpan, Span: SpanEvent{
 			ID:      rec.id,
 			Parent:  rec.parentID,
 			Name:    rec.name,
@@ -158,20 +172,19 @@ func (t *Trace) record(s *Span, end time.Time) {
 			StartNs: rec.startNs,
 			DurNs:   rec.durNs,
 			Attrs:   append([]Attr(nil), rec.attrs...),
-		})
+		}})
 	}
 }
 
-// SetSink installs a live exporter called with every span as it ends
-// (in end order, concurrently with recording). nil removes it. The
-// telemetry server wires a SpanRing's Publish here to feed
-// /trace/stream.
-func (t *Trace) SetSink(sink func(SpanEvent)) {
+// SetStream makes every span ended from now on also publish on s, in
+// end order (nil stops publishing). A workspace points its trace at the
+// stream it currently feeds.
+func (t *Trace) SetStream(s *Stream) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.sink = sink
+	t.stream = s
 	t.mu.Unlock()
 }
 

@@ -8,12 +8,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"copycat/internal/resilience"
 )
 
 func TestTraceBasicHierarchy(t *testing.T) {
-	clk := resilience.NewVirtualClock()
+	clk := NewVirtualClock()
 	tr := NewTrace(clk)
 	root := tr.Start("suggest.refresh", "stage")
 	clk.Advance(2 * time.Millisecond)
@@ -45,7 +43,7 @@ func TestTraceBasicHierarchy(t *testing.T) {
 }
 
 func TestChromeExportIsValidJSON(t *testing.T) {
-	tr := NewTrace(resilience.NewVirtualClock())
+	tr := NewTrace(NewVirtualClock())
 	sp := tr.Start("learn.paste", "stage")
 	sp.Child("learn.generalize", "stage").End()
 	sp.End()
@@ -72,7 +70,7 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 // emitConcurrent drives a trace the way the parallel candidate executor
 // does: one shared trace, one root per stage, many goroutines emitting
 // children with distinct names.
-func emitConcurrent(tr *Trace, clk *resilience.VirtualClock) {
+func emitConcurrent(tr *Trace, clk *VirtualClock) {
 	root := tr.Start("suggest.refresh", "stage")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -94,7 +92,7 @@ func emitConcurrent(tr *Trace, clk *resilience.VirtualClock) {
 // TestConcurrentSpanEmission is the race-detector test: many goroutines
 // share one trace (run under -race via make test-race).
 func TestConcurrentSpanEmission(t *testing.T) {
-	clk := resilience.NewVirtualClock()
+	clk := NewVirtualClock()
 	tr := NewTrace(clk)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -115,7 +113,7 @@ func TestConcurrentSpanEmission(t *testing.T) {
 // emitted) span set export byte-identical JSON, both Chrome and JSONL.
 func TestDeterministicExport(t *testing.T) {
 	run := func() (string, string) {
-		clk := resilience.NewVirtualClock()
+		clk := NewVirtualClock()
 		tr := NewTrace(clk)
 		emitConcurrent(tr, clk)
 		var chrome, jsonl bytes.Buffer
@@ -176,7 +174,7 @@ func TestNilTraceIsFreeAndSilent(t *testing.T) {
 }
 
 func TestOrphanSpansExportAsRoots(t *testing.T) {
-	tr := NewTrace(resilience.NewVirtualClock())
+	tr := NewTrace(NewVirtualClock())
 	root := tr.Start("stage", "s")
 	child := root.Child("child", "c")
 	child.End()
@@ -188,7 +186,7 @@ func TestOrphanSpansExportAsRoots(t *testing.T) {
 }
 
 func TestSpanInContext(t *testing.T) {
-	tr := NewTrace(resilience.NewVirtualClock())
+	tr := NewTrace(NewVirtualClock())
 	sp := tr.Start("root", "r")
 	ctx := ContextWithSpan(nil, sp)
 	if got := SpanFromContext(ctx); got != sp {
@@ -217,7 +215,7 @@ func BenchmarkDisabledSpan(b *testing.B) {
 
 // BenchmarkEnabledSpan measures the enabled path for comparison.
 func BenchmarkEnabledSpan(b *testing.B) {
-	tr := NewTrace(resilience.NewVirtualClock())
+	tr := NewTrace(NewVirtualClock())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := tr.Start("a", "b")

@@ -6,17 +6,16 @@ import (
 )
 
 // WindowHistogram is a rolling-window latency histogram: a ring of
-// sub-window bucket arrays that rotates on an injectable clock, so
-// Snapshot reports only the last Window of behaviour instead of
-// everything since boot. It backs the SLO tracker's burn-rate math and
-// the telemetry server's "what is the system doing right now" series.
+// sub-window bucket arrays that rotates with the time its callers pass
+// in, so Snapshot reports only the last Window of behaviour instead of
+// everything since boot. It backs the SLO tracker's burn-rate math.
 //
-// Rotation is driven entirely by the now func passed at construction —
-// on a VirtualClock the whole window mechanism is deterministic. A nil
+// Rotation is driven entirely by the instants callers pass — fed from a
+// VirtualClock the whole window mechanism is deterministic. The bucket
+// arrays are allocated at the first observation. A nil
 // *WindowHistogram is inert, like every other obs instrument.
 type WindowHistogram struct {
 	mu        sync.Mutex
-	now       func() time.Time
 	bounds    []time.Duration // ascending upper bounds (shared with slots)
 	slot      time.Duration   // width of one sub-window
 	slots     []windowSlot    // ring; slots[head] is the live sub-window
@@ -33,27 +32,19 @@ type windowSlot struct {
 
 // NewWindowHistogram creates a rolling histogram covering `window` of
 // clock time split into `slots` sub-windows (minimum 2), with the given
-// ascending bucket bounds. now must not be nil; inject a virtual
-// clock's Now for deterministic tests.
-func NewWindowHistogram(bounds []time.Duration, window time.Duration, slots int, now func() time.Time) *WindowHistogram {
+// ascending bucket bounds (not copied; callers must not modify them).
+func NewWindowHistogram(bounds []time.Duration, window time.Duration, slots int) *WindowHistogram {
 	if slots < 2 {
 		slots = 2
 	}
 	if window <= 0 {
 		window = time.Minute
 	}
-	b := append([]time.Duration(nil), bounds...)
-	w := &WindowHistogram{
-		now:       now,
-		bounds:    b,
-		slot:      window / time.Duration(slots),
-		slots:     make([]windowSlot, slots),
-		headStart: now(),
+	return &WindowHistogram{
+		bounds: bounds,
+		slot:   window / time.Duration(slots),
+		slots:  make([]windowSlot, slots),
 	}
-	for i := range w.slots {
-		w.slots[i].counts = make([]int64, len(b)+1)
-	}
-	return w
 }
 
 // Window reports the total span of clock time the histogram covers.
@@ -65,11 +56,20 @@ func (w *WindowHistogram) Window() time.Duration {
 }
 
 // rotate advances the ring to the sub-window containing now, clearing
-// every slot that expired on the way. A clock that moved backwards
-// (e.g. a VirtualClock injected after construction, whose epoch is
-// 1970) resets the ring and re-anchors on the new timeline. Callers
-// hold w.mu.
+// every slot that expired on the way. The first call allocates the
+// bucket arrays and anchors the ring at now. A clock that moved
+// backwards (e.g. a VirtualClock injected after the first observation,
+// whose epoch is 1970) resets the ring and re-anchors on the new
+// timeline. Callers hold w.mu.
 func (w *WindowHistogram) rotate(now time.Time) {
+	if w.slots[0].counts == nil {
+		counts := make([]int64, len(w.slots)*(len(w.bounds)+1))
+		for i := range w.slots {
+			w.slots[i].counts = counts[i*(len(w.bounds)+1) : (i+1)*(len(w.bounds)+1)]
+		}
+		w.headStart = now
+		return
+	}
 	if now.Before(w.headStart) {
 		for i := range w.slots {
 			w.slots[i].clear()
@@ -103,8 +103,9 @@ func (s *windowSlot) clear() {
 	s.sum = 0
 }
 
-// Observe records one duration into the live sub-window.
-func (w *WindowHistogram) Observe(d time.Duration) {
+// Observe records one duration, finished at now, into the live
+// sub-window.
+func (w *WindowHistogram) Observe(now time.Time, d time.Duration) {
 	if w == nil {
 		return
 	}
@@ -113,7 +114,7 @@ func (w *WindowHistogram) Observe(d time.Duration) {
 	}
 	i := bucketIndex(w.bounds, d)
 	w.mu.Lock()
-	w.rotate(w.now())
+	w.rotate(now)
 	s := &w.slots[w.head]
 	s.counts[i]++
 	s.count++
@@ -151,27 +152,28 @@ func (w *WindowHistogram) merged() ([]int64, int64, int64) {
 	return counts, count, sum
 }
 
-// Count reports the number of observations inside the current window.
-func (w *WindowHistogram) Count() int64 {
+// Count reports the number of observations inside the window ending at
+// now.
+func (w *WindowHistogram) Count(now time.Time) int64 {
 	if w == nil {
 		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.rotate(w.now())
+	w.rotate(now)
 	_, count, _ := w.merged()
 	return count
 }
 
-// Quantile estimates the q-th quantile over the current window, with
-// the same interpolation rules as Histogram.Quantile.
-func (w *WindowHistogram) Quantile(q float64) time.Duration {
+// Quantile estimates the q-th quantile over the window ending at now,
+// with the same interpolation rules as Histogram.Quantile.
+func (w *WindowHistogram) Quantile(now time.Time, q float64) time.Duration {
 	if w == nil {
 		return 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.rotate(w.now())
+	w.rotate(now)
 	counts, _, _ := w.merged()
 	return quantileFromCounts(w.bounds, counts, q)
 }
@@ -182,13 +184,13 @@ func (w *WindowHistogram) Quantile(q float64) time.Duration {
 // bucket bound are exact; others count whole buckets above the covering
 // bound (the conservative direction: a mid-bucket threshold never
 // under-reports violations from higher buckets).
-func (w *WindowHistogram) AboveThreshold(threshold time.Duration) (above, total int64) {
+func (w *WindowHistogram) AboveThreshold(now time.Time, threshold time.Duration) (above, total int64) {
 	if w == nil {
 		return 0, 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.rotate(w.now())
+	w.rotate(now)
 	counts, count, _ := w.merged()
 	cut := bucketIndex(w.bounds, threshold) // buckets <= cut are within threshold's covering bound
 	for i := cut + 1; i < len(counts); i++ {
@@ -197,16 +199,17 @@ func (w *WindowHistogram) AboveThreshold(threshold time.Duration) (above, total 
 	return above, count
 }
 
-// Snapshot copies the window's merged state, with the headline
-// quantiles pre-computed — the same shape as a cumulative histogram's
-// snapshot, so render paths need not care which kind they display.
-func (w *WindowHistogram) Snapshot() HistogramSnapshot {
+// Snapshot copies the merged state of the window ending at now, with
+// the headline quantiles pre-computed — the same shape as a cumulative
+// histogram's snapshot, so render paths need not care which kind they
+// display.
+func (w *WindowHistogram) Snapshot(now time.Time) HistogramSnapshot {
 	if w == nil {
 		return HistogramSnapshot{}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.rotate(w.now())
+	w.rotate(now)
 	counts, count, sum := w.merged()
 	snap := HistogramSnapshot{
 		Count: count,

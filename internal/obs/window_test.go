@@ -4,76 +4,74 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"copycat/internal/resilience"
 )
 
 func TestWindowHistogramRotation(t *testing.T) {
-	clock := resilience.NewVirtualClock()
+	clock := NewVirtualClock()
 	bounds := []time.Duration{10 * time.Millisecond, 100 * time.Millisecond}
 	// 1-minute window in 6 slots of 10s.
-	w := NewWindowHistogram(bounds, time.Minute, 6, clock.Now)
+	w := NewWindowHistogram(bounds, time.Minute, 6)
 	if got := w.Window(); got != time.Minute {
 		t.Fatalf("Window = %v, want 1m", got)
 	}
 
-	w.Observe(5 * time.Millisecond)
-	w.Observe(50 * time.Millisecond)
-	if got := w.Count(); got != 2 {
+	w.Observe(clock.Now(), 5*time.Millisecond)
+	w.Observe(clock.Now(), 50*time.Millisecond)
+	if got := w.Count(clock.Now()); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 
 	// 30s later both observations are still inside the window.
 	clock.Advance(30 * time.Second)
-	w.Observe(5 * time.Millisecond)
-	if got := w.Count(); got != 3 {
+	w.Observe(clock.Now(), 5*time.Millisecond)
+	if got := w.Count(clock.Now()); got != 3 {
 		t.Fatalf("count after 30s = %d, want 3", got)
 	}
 
 	// 45s more: the first two (age 75s) expired, the third (45s) remains.
 	clock.Advance(45 * time.Second)
-	if got := w.Count(); got != 1 {
+	if got := w.Count(clock.Now()); got != 1 {
 		t.Fatalf("count after 75s = %d, want 1", got)
 	}
 
 	// A jump far past the window clears everything.
 	clock.Advance(10 * time.Minute)
-	if got := w.Count(); got != 0 {
+	if got := w.Count(clock.Now()); got != 0 {
 		t.Fatalf("count after 10m idle = %d, want 0", got)
 	}
 	// And the ring still accepts fresh observations afterwards.
-	w.Observe(time.Millisecond)
-	if got := w.Count(); got != 1 {
+	w.Observe(clock.Now(), time.Millisecond)
+	if got := w.Count(clock.Now()); got != 1 {
 		t.Fatalf("count after restart = %d, want 1", got)
 	}
 }
 
 func TestWindowHistogramAboveThreshold(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6, clock.Now)
+	clock := NewVirtualClock()
+	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6)
 	for i := 0; i < 9; i++ {
-		w.Observe(time.Millisecond) // fast
+		w.Observe(clock.Now(), time.Millisecond) // fast
 	}
-	w.Observe(40 * time.Millisecond) // slow
-	above, total := w.AboveThreshold(25 * time.Millisecond)
+	w.Observe(clock.Now(), 40*time.Millisecond) // slow
+	above, total := w.AboveThreshold(clock.Now(), 25*time.Millisecond)
 	if above != 1 || total != 10 {
 		t.Fatalf("AboveThreshold = (%d, %d), want (1, 10)", above, total)
 	}
 	// Observations exactly at the threshold bound are within objective.
-	w.Observe(25 * time.Millisecond)
-	above, total = w.AboveThreshold(25 * time.Millisecond)
+	w.Observe(clock.Now(), 25*time.Millisecond)
+	above, total = w.AboveThreshold(clock.Now(), 25*time.Millisecond)
 	if above != 1 || total != 11 {
 		t.Fatalf("AboveThreshold at bound = (%d, %d), want (1, 11)", above, total)
 	}
 }
 
 func TestWindowHistogramSnapshotQuantiles(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6, clock.Now)
+	clock := NewVirtualClock()
+	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6)
 	for i := 0; i < 100; i++ {
-		w.Observe(2 * time.Millisecond)
+		w.Observe(clock.Now(), 2*time.Millisecond)
 	}
-	snap := w.Snapshot()
+	snap := w.Snapshot(clock.Now())
 	if snap.Count != 100 {
 		t.Fatalf("snapshot count = %d", snap.Count)
 	}
@@ -85,61 +83,58 @@ func TestWindowHistogramSnapshotQuantiles(t *testing.T) {
 	}
 	// Slide the whole window past the observations: empty snapshot.
 	clock.Advance(2 * time.Minute)
-	if snap := w.Snapshot(); snap.Count != 0 || len(snap.Buckets) != 0 {
+	if snap := w.Snapshot(clock.Now()); snap.Count != 0 || len(snap.Buckets) != 0 {
 		t.Fatalf("expired snapshot = %+v, want empty", snap)
 	}
 }
 
 func TestWindowHistogramNil(t *testing.T) {
+	clock := NewVirtualClock()
 	var w *WindowHistogram
-	w.Observe(time.Second) // must not panic
-	if w.Count() != 0 || w.Quantile(0.99) != 0 || w.Window() != 0 {
+	w.Observe(clock.Now(), time.Second) // must not panic
+	if w.Count(clock.Now()) != 0 || w.Quantile(clock.Now(), 0.99) != 0 || w.Window() != 0 {
 		t.Fatal("nil WindowHistogram should read as zero")
 	}
-	if above, total := w.AboveThreshold(time.Millisecond); above != 0 || total != 0 {
+	if above, total := w.AboveThreshold(clock.Now(), time.Millisecond); above != 0 || total != 0 {
 		t.Fatal("nil AboveThreshold should be zero")
 	}
-	if snap := w.Snapshot(); snap.Count != 0 {
+	if snap := w.Snapshot(clock.Now()); snap.Count != 0 {
 		t.Fatal("nil Snapshot should be empty")
 	}
 }
 
 func TestWindowHistogramConcurrent(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6, clock.Now)
+	clock := NewVirtualClock()
+	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				w.Observe(time.Duration(i%20) * time.Millisecond)
+				w.Observe(clock.Now(), time.Duration(i%20)*time.Millisecond)
 				if i%50 == 0 {
-					_ = w.Snapshot()
-					_, _ = w.AboveThreshold(10 * time.Millisecond)
+					_ = w.Snapshot(clock.Now())
+					_, _ = w.AboveThreshold(clock.Now(), 10*time.Millisecond)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := w.Count(); got != 2000 {
+	if got := w.Count(clock.Now()); got != 2000 {
 		t.Fatalf("count = %d, want 2000", got)
 	}
 }
 
 func TestSLOTrackerBurnRates(t *testing.T) {
-	clock := resilience.NewVirtualClock()
-	cfg := DefaultSLOConfig()
-	tr := NewSLOTracker(cfg, clock.Now)
-	if !tr.Tracks("suggest.refresh") || tr.Tracks("rank.mira") {
-		t.Fatal("Tracks should match only the configured stage")
-	}
+	clock := NewVirtualClock()
+	tr := NewSLOTracker()
 
 	// 100 fast refreshes: zero burn, no alerts.
 	for i := 0; i < 100; i++ {
-		tr.Observe(2 * time.Millisecond)
+		tr.Observe(clock.Now(), 2*time.Millisecond)
 	}
-	st := tr.Status()
+	st := tr.Status(clock.Now())
 	if st.FastBurn != 0 || st.FastAlert || st.SlowAlert {
 		t.Fatalf("healthy status = %+v", st)
 	}
@@ -150,9 +145,9 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 	// Inject slow refreshes: 50 of 150 over threshold → err rate 1/3,
 	// burn = (1/3)/0.01 ≈ 33 ≥ 14.4 → fast alert (and slow ≥ 6).
 	for i := 0; i < 50; i++ {
-		tr.Observe(40 * time.Millisecond)
+		tr.Observe(clock.Now(), 40*time.Millisecond)
 	}
-	st = tr.Status()
+	st = tr.Status(clock.Now())
 	if !st.FastAlert {
 		t.Fatalf("fast-burn alert should fire: %+v", st)
 	}
@@ -169,7 +164,7 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 	// 6 minutes later the fast window has rolled clear but the 1h slow
 	// window still remembers: fast alert clears, slow alert holds.
 	clock.Advance(6 * time.Minute)
-	st = tr.Status()
+	st = tr.Status(clock.Now())
 	if st.FastAlert {
 		t.Fatalf("fast alert should clear after the fast window rolls: %+v", st)
 	}
@@ -182,28 +177,29 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 
 	// And 2 hours later everything is forgotten.
 	clock.Advance(2 * time.Hour)
-	st = tr.Status()
+	st = tr.Status(clock.Now())
 	if st.FastAlert || st.SlowAlert || st.SlowCount != 0 {
 		t.Fatalf("status should be clean after the slow window rolls: %+v", st)
 	}
 }
 
 func TestSLOTrackerNilAndDefaults(t *testing.T) {
+	clock := NewVirtualClock()
 	var tr *SLOTracker
-	tr.Observe(time.Second)
-	if tr.Tracks("suggest.refresh") {
-		t.Fatal("nil tracker tracks nothing")
-	}
-	if st := tr.Status(); st.FastAlert || st.SlowAlert || st.FastCount != 0 {
+	tr.Observe(clock.Now(), time.Second)
+	if st := tr.Status(clock.Now()); st.FastAlert || st.SlowAlert || st.FastCount != 0 {
 		t.Fatalf("nil status = %+v", st)
 	}
-	// Zero config takes every default.
-	tr = NewSLOTracker(SLOConfig{}, nil)
-	cfg := tr.Config()
-	if cfg.Stage != "suggest.refresh" || cfg.Threshold != 25*time.Millisecond || cfg.Target != 0.99 {
-		t.Fatalf("defaulted config = %+v", cfg)
+	// The objective is fixed: 99% of suggest.refresh under 25ms, judged
+	// over 5m/1h windows.
+	st := NewSLOTracker().Status(clock.Now())
+	if st.Stage != "suggest.refresh" || st.ThresholdNs != (25*time.Millisecond).Nanoseconds() || st.Target != 0.99 {
+		t.Fatalf("objective = %+v", st)
 	}
-	if s := tr.Status().String(); s == "" {
+	if st.FastWindowNs != (5*time.Minute).Nanoseconds() || st.SlowWindowNs != time.Hour.Nanoseconds() {
+		t.Fatalf("windows = %+v", st)
+	}
+	if s := st.String(); s == "" {
 		t.Fatal("status should render")
 	}
 }
@@ -235,17 +231,17 @@ func (c *fakeClock) Set(t time.Time) {
 func TestWindowHistogramLargeClockJumps(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1_000_000, 0)}
 	bounds := []time.Duration{10 * time.Millisecond, 100 * time.Millisecond}
-	w := NewWindowHistogram(bounds, time.Minute, 6, clock.Now)
+	w := NewWindowHistogram(bounds, time.Minute, 6)
 
 	// A jump of thousands of windows clears everything in one rotate,
 	// without walking the ring step by step.
-	w.Observe(5 * time.Millisecond)
+	w.Observe(clock.Now(), 5*time.Millisecond)
 	clock.Set(clock.Now().Add(5000 * time.Minute))
-	if got := w.Count(); got != 0 {
+	if got := w.Count(clock.Now()); got != 0 {
 		t.Fatalf("count after 5000-window jump = %d, want 0", got)
 	}
-	w.Observe(50 * time.Millisecond)
-	if got := w.Count(); got != 1 {
+	w.Observe(clock.Now(), 50*time.Millisecond)
+	if got := w.Count(clock.Now()); got != 1 {
 		t.Fatalf("count after landing = %d, want 1", got)
 	}
 
@@ -253,29 +249,29 @@ func TestWindowHistogramLargeClockJumps(t *testing.T) {
 	// should: the observation is 6 slots old once exactly one window has
 	// passed, so it is gone, and one taken half a window ago remains.
 	clock.Set(clock.Now().Add(30 * time.Second))
-	w.Observe(5 * time.Millisecond)
+	w.Observe(clock.Now(), 5*time.Millisecond)
 	clock.Set(clock.Now().Add(30 * time.Second))
-	if got := w.Count(); got != 1 {
+	if got := w.Count(clock.Now()); got != 1 {
 		t.Fatalf("count at exactly one window = %d, want 1 (old slot expired)", got)
 	}
 
 	// A backwards jump (virtual clock injected after construction) resets
 	// and re-anchors instead of stalling until the clock catches up.
 	clock.Set(time.Unix(0, 0))
-	if got := w.Count(); got != 0 {
+	if got := w.Count(clock.Now()); got != 0 {
 		t.Fatalf("count after backwards jump = %d, want 0", got)
 	}
-	w.Observe(time.Millisecond)
-	w.Observe(200 * time.Millisecond)
-	if got := w.Count(); got != 2 {
+	w.Observe(clock.Now(), time.Millisecond)
+	w.Observe(clock.Now(), 200*time.Millisecond)
+	if got := w.Count(clock.Now()); got != 2 {
 		t.Fatalf("count on the re-anchored timeline = %d, want 2", got)
 	}
 	// The re-anchored timeline rotates normally from here.
 	clock.Set(time.Unix(0, 0).Add(61 * time.Second))
-	if got := w.Count(); got != 0 {
+	if got := w.Count(clock.Now()); got != 0 {
 		t.Fatalf("count one window after re-anchor = %d, want 0", got)
 	}
-	if above, total := w.AboveThreshold(10 * time.Millisecond); above != 0 || total != 0 {
+	if above, total := w.AboveThreshold(clock.Now(), 10*time.Millisecond); above != 0 || total != 0 {
 		t.Fatalf("AboveThreshold after expiry = (%d, %d), want (0, 0)", above, total)
 	}
 }

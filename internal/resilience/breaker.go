@@ -1,8 +1,11 @@
 package resilience
 
 import (
+	"fmt"
 	"sync"
 	"time"
+
+	"copycat/internal/obs"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -72,33 +75,37 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type Breaker struct {
 	mu        sync.Mutex
 	cfg       BreakerConfig
-	clock     Clock
+	clock     obs.Clock
 	state     BreakerState
 	failures  int // consecutive failures while closed
 	successes int // consecutive probe successes while half-open
 	openedAt  time.Time
 	trips     int64
-	// onTransition observes state changes (the flight recorder's feed).
-	// It is invoked AFTER b.mu is released: observers snapshot metrics,
-	// which walks back into Breaker.State, so calling under the lock
-	// would deadlock.
-	onTransition func(from, to BreakerState)
+	// service names the breaker in the transition events it publishes
+	// on stream (set by the owning Caller). Publishing happens AFTER
+	// b.mu is released: the flight recorder snapshots metrics, which
+	// walks back into Breaker.State, so publishing under the lock would
+	// deadlock.
+	service string
+	stream  *obs.Stream
 }
 
 // NewBreaker builds a breaker on the given clock (SystemClock if nil).
-func NewBreaker(cfg BreakerConfig, clock Clock) *Breaker {
+func NewBreaker(cfg BreakerConfig, clock obs.Clock) *Breaker {
 	if clock == nil {
-		clock = SystemClock{}
+		clock = obs.SystemClock{}
 	}
 	return &Breaker{cfg: cfg.withDefaults(), clock: clock}
 }
 
-// SetTransitionHook installs fn, called after every state change with
-// the (from, to) pair, outside the breaker's lock. nil removes it.
-func (b *Breaker) SetTransitionHook(fn func(from, to BreakerState)) {
-	b.mu.Lock()
-	b.onTransition = fn
-	b.mu.Unlock()
+// publish reports one state change on the breaker's stream; callers
+// read stream under b.mu and call this after releasing it.
+func (b *Breaker) publish(stream *obs.Stream, from, to BreakerState) {
+	stream.Publish(obs.Event{
+		Kind:   obs.KindLifecycle,
+		Name:   obs.EventBreaker,
+		Detail: fmt.Sprintf("%s: %s -> %s", b.service, from, to),
+	})
 }
 
 // Allow reports whether a call may proceed: nil, or ErrBreakerOpen while
@@ -113,11 +120,9 @@ func (b *Breaker) Allow() error {
 		}
 		b.state = BreakerHalfOpen
 		b.successes = 0
-		hook := b.onTransition
+		stream := b.stream
 		b.mu.Unlock()
-		if hook != nil {
-			hook(BreakerOpen, BreakerHalfOpen)
-		}
+		b.publish(stream, BreakerOpen, BreakerHalfOpen)
 		return nil
 	}
 	b.mu.Unlock()
@@ -140,10 +145,10 @@ func (b *Breaker) Success() {
 	default:
 		b.failures = 0
 	}
-	hook := b.onTransition
+	stream := b.stream
 	b.mu.Unlock()
-	if closed && hook != nil {
-		hook(BreakerHalfOpen, BreakerClosed)
+	if closed {
+		b.publish(stream, BreakerHalfOpen, BreakerClosed)
 	}
 }
 
@@ -167,10 +172,10 @@ func (b *Breaker) Failure() {
 			tripped = true
 		}
 	}
-	hook := b.onTransition
+	stream := b.stream
 	b.mu.Unlock()
-	if tripped && hook != nil {
-		hook(from, BreakerOpen)
+	if tripped {
+		b.publish(stream, from, BreakerOpen)
 	}
 }
 

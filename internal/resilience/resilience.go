@@ -20,6 +20,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"copycat/internal/obs"
 )
 
 // ---------------------------------------------------------------- error taxonomy
@@ -100,7 +102,7 @@ type Policy struct {
 	Seed int64
 	// Clock drives backoff sleeps and latency measurement. Defaults to
 	// the system clock; tests install a VirtualClock.
-	Clock Clock
+	Clock obs.Clock
 }
 
 // DefaultPolicy is the standard service-call policy: three attempts,
@@ -133,7 +135,7 @@ func (p Policy) withDefaults() Policy {
 		p.Multiplier = d.Multiplier
 	}
 	if p.Clock == nil {
-		p.Clock = SystemClock{}
+		p.Clock = obs.SystemClock{}
 	}
 	return p
 }
@@ -160,9 +162,9 @@ type Caller struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	breakers map[string]*Breaker
-	// onTransition, when set, is installed on every breaker (existing and
-	// future) with the owning service's name bound in.
-	onTransition func(service string, from, to BreakerState)
+	// stream receives every breaker's state transitions (existing and
+	// future breakers alike).
+	stream *obs.Stream
 }
 
 // NewCaller builds a caller from a policy and breaker config; zero
@@ -184,37 +186,27 @@ func (c *Caller) Breaker(service string) *Breaker {
 	b, ok := c.breakers[service]
 	if !ok {
 		b = NewBreaker(c.bcfg, c.policy.Clock)
-		if fn := c.onTransition; fn != nil {
-			svc := service
-			b.SetTransitionHook(func(from, to BreakerState) { fn(svc, from, to) })
-		}
+		b.service, b.stream = service, c.stream
 		c.breakers[service] = b
 	}
 	return b
 }
 
-// SetBreakerTransitionHook installs fn on every breaker this caller
-// owns, existing and future, bound to the owning service's name. The
-// hook fires after each state change, outside all breaker locks (it is
-// allowed to read Caller.Status / snapshot metrics). nil removes it.
-func (c *Caller) SetBreakerTransitionHook(fn func(service string, from, to BreakerState)) {
+// SetStream points every breaker this caller owns, existing and future,
+// at s: each state transition is published there as a lifecycle event
+// (a flight-recorder trigger when a breaker opens). nil stops
+// publishing.
+func (c *Caller) SetStream(s *obs.Stream) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.onTransition = fn
-	existing := make(map[string]*Breaker, len(c.breakers))
-	for name, b := range c.breakers {
-		existing[name] = b
-	}
-	c.mu.Unlock()
-	for name, b := range existing {
-		if fn == nil {
-			b.SetTransitionHook(nil)
-			continue
-		}
-		svc := name
-		b.SetTransitionHook(func(from, to BreakerState) { fn(svc, from, to) })
+	defer c.mu.Unlock()
+	c.stream = s
+	for _, b := range c.breakers {
+		b.mu.Lock()
+		b.stream = s
+		b.mu.Unlock()
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"copycat/internal/obs"
 )
 
 func TestClassification(t *testing.T) {
@@ -39,7 +41,7 @@ func TestClassification(t *testing.T) {
 }
 
 func TestVirtualClock(t *testing.T) {
-	c := NewVirtualClock()
+	c := obs.NewVirtualClock()
 	t0 := c.Now()
 	c.Sleep(3 * time.Second)
 	c.Advance(2 * time.Second)
@@ -50,7 +52,7 @@ func TestVirtualClock(t *testing.T) {
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	c := NewCaller(Policy{MaxAttempts: 3, Clock: clock, Seed: 7}, BreakerConfig{})
 	calls := 0
 	out, err := c.Do(context.Background(), "svc", func() error {
@@ -72,7 +74,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 }
 
 func TestRetryExhaustionKeepsTransientClass(t *testing.T) {
-	c := NewCaller(Policy{MaxAttempts: 2, Clock: NewVirtualClock()}, BreakerConfig{})
+	c := NewCaller(Policy{MaxAttempts: 2, Clock: obs.NewVirtualClock()}, BreakerConfig{})
 	_, err := c.Do(context.Background(), "svc", func() error {
 		return MarkTransient(errors.New("down"))
 	})
@@ -82,7 +84,7 @@ func TestRetryExhaustionKeepsTransientClass(t *testing.T) {
 }
 
 func TestPermanentErrorDoesNotRetry(t *testing.T) {
-	c := NewCaller(Policy{MaxAttempts: 5, Clock: NewVirtualClock()}, BreakerConfig{})
+	c := NewCaller(Policy{MaxAttempts: 5, Clock: obs.NewVirtualClock()}, BreakerConfig{})
 	calls := 0
 	out, err := c.Do(context.Background(), "svc", func() error {
 		calls++
@@ -106,7 +108,7 @@ func TestPermanentErrorDoesNotRetry(t *testing.T) {
 }
 
 func TestTimeoutClassification(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	c := NewCaller(Policy{MaxAttempts: 1, Timeout: 100 * time.Millisecond, Clock: clock}, BreakerConfig{})
 	_, err := c.Do(context.Background(), "slow", func() error {
 		clock.Sleep(250 * time.Millisecond) // a latency spike past the budget
@@ -122,7 +124,7 @@ func TestTimeoutClassification(t *testing.T) {
 
 func TestJitterIsDeterministic(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
-		c := NewCaller(Policy{MaxAttempts: 4, Clock: NewVirtualClock(), Seed: seed, JitterFrac: 0.5}, BreakerConfig{})
+		c := NewCaller(Policy{MaxAttempts: 4, Clock: obs.NewVirtualClock(), Seed: seed, JitterFrac: 0.5}, BreakerConfig{})
 		var out []time.Duration
 		for i := 0; i < 6; i++ {
 			out = append(out, c.backoff(i%3))
@@ -147,7 +149,7 @@ func TestJitterIsDeterministic(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: 10 * time.Second, HalfOpenProbes: 1}, clock)
 	for i := 0; i < 2; i++ {
 		if err := b.Allow(); err != nil {
@@ -187,7 +189,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestCallerTripsAndShortCircuits(t *testing.T) {
-	clock := NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	c := NewCaller(
 		Policy{MaxAttempts: 2, Clock: clock},
 		BreakerConfig{FailureThreshold: 4, Cooldown: time.Minute},
@@ -215,7 +217,7 @@ func TestCallerTripsAndShortCircuits(t *testing.T) {
 }
 
 func TestDoHonorsContext(t *testing.T) {
-	c := NewCaller(Policy{MaxAttempts: 3, Clock: NewVirtualClock()}, BreakerConfig{})
+	c := NewCaller(Policy{MaxAttempts: 3, Clock: obs.NewVirtualClock()}, BreakerConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0

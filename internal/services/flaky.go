@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"copycat/internal/engine"
+	"copycat/internal/obs"
 	"copycat/internal/resilience"
 	"copycat/internal/table"
 )
@@ -33,7 +34,7 @@ type FaultConfig struct {
 	Outage bool
 	// Clock receives the injected latency (Sleep). Nil disables latency
 	// injection entirely; no wall-clock sleeps ever happen.
-	Clock resilience.Clock
+	Clock obs.Clock
 }
 
 // FlakyService wraps an engine.Service with deterministic fault

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"copycat/internal/obs"
 	"copycat/internal/resilience"
 	"copycat/internal/table"
 	"copycat/internal/webworld"
@@ -87,7 +88,7 @@ func TestFlakyServiceOutage(t *testing.T) {
 
 func TestFlakyServiceInjectsVirtualLatency(t *testing.T) {
 	w := testWorld(t)
-	clock := resilience.NewVirtualClock()
+	clock := obs.NewVirtualClock()
 	f := NewFlakyService(NewShelterLocator(w), FaultConfig{
 		Seed:             9,
 		BaseLatency:      2 * time.Millisecond,

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"copycat/internal/obs"
 	"copycat/internal/obs/flight"
 	"copycat/internal/session"
 )
@@ -429,7 +430,7 @@ func TestEvictFailureIsAttributed(t *testing.T) {
 	}
 	hasEvent := false
 	for _, e := range inc.Events {
-		if e.Kind == flight.EventEvictError && e.Session == "s000001" && e.Tenant == "acme" {
+		if e.Kind == obs.EventEvictError && e.Session == "s000001" && e.Tenant == "acme" {
 			hasEvent = true
 		}
 	}

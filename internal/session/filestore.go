@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"copycat/internal/obs"
 	"copycat/internal/persist"
 )
 
@@ -50,9 +51,10 @@ type FileStore struct {
 	mu    sync.Mutex
 	sizes map[string]fileSizes    // id → raw/stored byte sizes
 	meta  map[string]SnapshotMeta // id → manifest record
-	// onQuarantine observes quarantined snapshots (SetQuarantineHook);
-	// called outside s.mu.
-	onQuarantine func(id, reason string)
+	// stream receives a lifecycle event for every quarantined snapshot
+	// (a flight-recorder trigger); a session manager sets it to the
+	// host stream.
+	stream *obs.Stream
 
 	loadErrors  atomic.Int64
 	quarantined atomic.Int64
@@ -361,24 +363,20 @@ func (s *FileStore) quarantine(id, reason string) error {
 	delete(s.sizes, id)
 	delete(s.meta, id)
 	s.flushManifestLocked()
-	hook := s.onQuarantine
+	stream := s.stream
 	s.mu.Unlock()
 	s.pruneQuarantine()
-	if hook != nil {
-		hook(id, reason)
-	}
+	stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventQuarantine, Session: id, Detail: reason})
 	if moved != "" {
 		return fmt.Errorf("%w: %s: %s (moved to %s)", ErrCorruptSnapshot, id, reason, moved)
 	}
 	return fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, id, reason)
 }
 
-// SetQuarantineHook installs fn, called (outside the store's lock)
-// whenever a corrupt snapshot is moved to quarantine — the session
-// manager wires the flight recorder's store-corruption trigger here.
-func (s *FileStore) SetQuarantineHook(fn func(id, reason string)) {
+// setStream points the store's quarantine events at s.
+func (s *FileStore) setStream(stream *obs.Stream) {
 	s.mu.Lock()
-	s.onQuarantine = fn
+	s.stream = stream
 	s.mu.Unlock()
 }
 

@@ -42,20 +42,19 @@ type Config struct {
 	// re-registers every on-disk session as evicted, so Acquire after
 	// a restart transparently reloads it.
 	Store Store
-	// Clock drives recency stamps and the host SLO windows; nil means
-	// the wall clock. Inject a resilience.VirtualClock for deterministic
-	// admission tests.
-	Clock resilience.Clock
-	// SLO overrides the host admission SLO tracker; nil builds one with
-	// obs.DefaultSLOConfig on the manager clock. Its fast-burn alert is
-	// the load-shedding signal.
-	SLO *obs.SLOTracker
+	// Clock is the host clock: recency stamps, the host stream (SLO
+	// windows, event and incident stamps), and the stage timing of every
+	// hosted workspace without a clock of its own. nil means the wall
+	// clock; inject an obs.VirtualClock for deterministic admission
+	// tests. The host stream's SLO fast-burn alert is the load-shedding
+	// signal.
+	Clock obs.Clock
 	// Breakers optionally exposes host-level circuit breaker state to
 	// admission control: a majority-open fleet sheds new sessions.
 	Breakers func() []resilience.BreakerStatus
 	// EnableTracing turns on span recording in every hosted workspace;
-	// all sessions publish into the manager's shared span ring, tagged
-	// with their session ID.
+	// all sessions publish their spans on the host stream, tagged with
+	// their session ID.
 	EnableTracing bool
 	// IncidentDir, when set, makes the host flight recorder persist
 	// incident bundles to this directory (bounded; oldest pruned).
@@ -70,13 +69,13 @@ type Config struct {
 type Manager struct {
 	cfg     Config
 	store   Store
-	clock   resilience.Clock
-	slo     *obs.SLOTracker
-	ring    *obs.SpanRing
 	metrics *obs.Registry
-	// flight is the host flight recorder every hosted workspace shares:
-	// spans, decisions, and lifecycle events from all sessions land in
-	// one timeline, and trigger rules capture incident bundles from it.
+	// stream is the host event stream every hosted workspace publishes
+	// on through its own handle (wire): its SLO tracker is the
+	// admission signal, it folds stage latencies and quality events
+	// into host-level series, and the host flight recorder reads its
+	// timeline.
+	stream *obs.Stream
 	flight *flight.Recorder
 	// decisions is the host-level decision log: manager lifecycle
 	// decisions (which session failed to evict, and why) that belong to
@@ -89,14 +88,6 @@ type Manager struct {
 	rejected    atomic.Int64
 	evictErrors atomic.Int64
 	recovered   atomic.Int64
-
-	// quality aggregates suggestion-quality events across the whole
-	// host; tenantQuality keeps one tracker per tenant label. Both live
-	// on the manager (not the workspaces) so the counters survive
-	// session eviction and destruction.
-	quality *obs.QualityTracker
-	qmu     sync.Mutex
-	tenantQ map[string]*obs.QualityTracker
 
 	mu            sync.Mutex // lock order: mu → Session.mu; never inverted
 	sessions      map[string]*Session
@@ -113,35 +104,24 @@ func NewManager(cfg Config) *Manager {
 		panic("session: Config.Factory is required")
 	}
 	m := &Manager{
-		cfg:      cfg,
-		store:    cfg.Store,
-		clock:    cfg.Clock,
-		slo:      cfg.SLO,
-		ring:     obs.NewSpanRing(obs.DefaultSpanRingSize),
-		metrics:  obs.NewRegistry(),
-		quality:  obs.NewQualityTracker(),
-		tenantQ:  map[string]*obs.QualityTracker{},
-		sessions: map[string]*Session{},
+		cfg:       cfg,
+		store:     cfg.Store,
+		metrics:   obs.NewRegistry(),
+		decisions: obs.NewDecisionLog(),
+		sessions:  map[string]*Session{},
 	}
 	if m.store == nil {
 		m.store = NewMemStore()
 	}
-	if m.slo == nil {
-		m.slo = obs.NewSLOTracker(obs.DefaultSLOConfig(), m.now)
-	}
-	m.decisions = obs.NewDecisionLog()
-	m.flight = flight.New(flight.Config{
-		Clock:    m.now,
+	m.stream = obs.NewHostStream(cfg.Clock, m.metrics)
+	m.flight = flight.New(m.stream, flight.Config{
 		Metrics:  m.MetricsSnapshot,
 		Registry: m.metrics,
 		Dir:      cfg.IncidentDir,
 	})
-	m.decisions.SetSink(m.flight.ObserveDecision)
-	if qs, ok := m.store.(interface{ SetQuarantineHook(func(id, reason string)) }); ok {
-		qs.SetQuarantineHook(func(id, reason string) {
-			m.flight.RecordEvent(flight.EventQuarantine, id, "", reason)
-			m.flight.Trigger(flight.TriggerStoreQuarantine, fmt.Sprintf("%s: %s", id, reason), id, "")
-		})
+	m.decisions.SetStream(m.stream)
+	if fs, ok := m.store.(*FileStore); ok {
+		fs.setStream(m.stream)
 	}
 	m.recover()
 	return m
@@ -187,20 +167,13 @@ func (m *Manager) recover() {
 	m.mu.Unlock()
 }
 
-func (m *Manager) now() time.Time {
-	if m.clock != nil {
-		return m.clock.Now()
-	}
-	return time.Now()
-}
+func (m *Manager) now() time.Time { return m.stream.Now() }
 
-// SLO exposes the host-level admission SLO tracker (aggregate
-// suggest-refresh latency across every hosted session).
-func (m *Manager) SLO() *obs.SLOTracker { return m.slo }
-
-// Ring exposes the shared span ring every hosted workspace publishes
-// into (spans carry a "session" attribute).
-func (m *Manager) Ring() *obs.SpanRing { return m.ring }
+// Stream exposes the host event stream: its SLO status is the
+// admission objective (aggregate suggest-refresh latency across every
+// hosted session), and its ring holds every session's spans (carrying
+// a "session" attribute), decisions, and lifecycle events.
+func (m *Manager) Stream() *obs.Stream { return m.stream }
 
 // Store exposes the snapshot store (tests inspect it).
 func (m *Manager) Store() Store { return m.store }
@@ -213,75 +186,23 @@ func (m *Manager) Flight() *flight.Recorder { return m.flight }
 // decisions such as eviction-failure attribution).
 func (m *Manager) Decisions() *obs.DecisionLog { return m.decisions }
 
-// refreshStage is the stage whose per-session completions both the host
-// SLO and the per-session refresh counters observe.
-const refreshStage = "suggest.refresh"
-
-// wire points a freshly built (or reloaded) state at this session and
-// host: session ID on spans and decisions, the shared span ring, and
-// the stage hook that folds per-session latencies into the host SLO and
-// histograms.
+// wire points a freshly built (or reloaded) state at this host: every
+// publisher of the workspace moves to a handle on the host stream that
+// attributes its events to the session and tenant.
 func (m *Manager) wire(s *Session, st *State) {
-	ws := st.Workspace
-	ws.SessionID = s.id
-	ws.Decisions.SetSession(s.id)
-	ws.SetSpanRing(m.ring)
-	// All hosted workspaces share the host flight recorder, so one
-	// incident bundle carries the whole fleet's recent timeline with
-	// per-session attribution.
-	ws.SetFlight(m.flight)
+	st.Workspace.SetStream(m.stream.For(s.id, s.tenant))
 	if m.cfg.EnableTracing {
-		ws.EnableTracing()
+		st.Workspace.EnableTracing()
 	}
-	ws.StageHook = func(stage string, d time.Duration) {
-		if m.slo.Tracks(stage) {
-			m.slo.Observe(d)
-			if m.flight.Armed(flight.TriggerSLOFastBurn) {
-				if st := m.slo.Status(); st.FastAlert {
-					m.flight.Trigger(flight.TriggerSLOFastBurn, "host "+st.String(), s.id, s.tenant)
-				}
-			}
-		}
-		m.metrics.Histogram("host.latency." + stage).Observe(d)
-		if stage == refreshStage {
-			s.refreshes.Add(1)
-		}
-	}
-	tq := m.tenantTracker(s.tenant)
-	ws.QualityHook = func(ev obs.QualityEvent) {
-		m.quality.Observe(ev)
-		tq.Observe(ev)
-	}
-}
-
-// tenantTracker returns (creating if needed) the per-tenant quality
-// tracker for a tenant label.
-func (m *Manager) tenantTracker(tenant string) *obs.QualityTracker {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	t, ok := m.tenantQ[tenant]
-	if !ok {
-		t = obs.NewQualityTracker()
-		m.tenantQ[tenant] = t
-	}
-	return t
 }
 
 // Quality snapshots the host-wide suggestion-quality telemetry
 // aggregated across every session this manager has hosted.
-func (m *Manager) Quality() obs.QualityStats { return m.quality.Snapshot() }
+func (m *Manager) Quality() obs.QualityStats { return m.stream.Quality() }
 
 // TenantQuality snapshots the per-tenant quality trackers. Tenants that
 // have produced no feedback yet are absent.
-func (m *Manager) TenantQuality() map[string]obs.QualityStats {
-	m.qmu.Lock()
-	defer m.qmu.Unlock()
-	out := make(map[string]obs.QualityStats, len(m.tenantQ))
-	for tenant, t := range m.tenantQ {
-		out[tenant] = t.Snapshot()
-	}
-	return out
-}
+func (m *Manager) TenantQuality() map[string]obs.QualityStats { return m.stream.TenantQuality() }
 
 // Create admits and builds a new session for a tenant. The returned
 // session is already pinned (as if Acquired) — use its State, then
@@ -291,7 +212,7 @@ func (m *Manager) TenantQuality() map[string]obs.QualityStats {
 func (m *Manager) Create(tenant string) (*Session, error) {
 	if shedding, reason := m.Shedding(); shedding {
 		m.rejected.Add(1)
-		m.flight.RecordEvent(flight.EventShed, "", tenant, reason)
+		m.noteShed(tenant, reason)
 		return nil, fmt.Errorf("%w: %s", shedErr(reason), reason)
 	}
 	st, err := m.cfg.Factory()
@@ -310,7 +231,7 @@ func (m *Manager) Create(tenant string) (*Session, error) {
 		m.mu.Unlock()
 		s.useMu.Unlock()
 		m.rejected.Add(1)
-		m.flight.RecordEvent(flight.EventShed, "", tenant, reasonCapacity)
+		m.noteShed(tenant, reasonCapacity)
 		return nil, fmt.Errorf("%w: %s", ErrCapacity, reasonCapacity)
 	}
 	m.seq++
@@ -462,6 +383,7 @@ func (m *Manager) evict(s *Session) error {
 	}
 	m.mu.Lock()
 	s.mu.Lock()
+	s.refreshes += s.st.refreshes()
 	s.st = nil
 	s.evictions++
 	m.residentCount--
@@ -470,22 +392,24 @@ func (m *Manager) evict(s *Session) error {
 	s.mu.Unlock()
 	m.mu.Unlock()
 	m.evictions.Add(1)
-	s.mu.Lock()
-	tenant := s.tenant
-	s.mu.Unlock()
-	m.flight.RecordEvent(flight.EventEvict, s.id, tenant, "evicted to store")
+	m.stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventEvict,
+		Session: s.id, Tenant: s.Tenant(), Detail: "evicted to store"})
 	return nil
+}
+
+// noteShed publishes an admission-control rejection.
+func (m *Manager) noteShed(tenant, reason string) {
+	m.stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventShed, Tenant: tenant, Detail: reason})
 }
 
 // noteEvictFailure attributes a failed eviction: the victim's session
 // and tenant IDs go to the host decision log (so operators can see
 // *which* session failed to evict, not just that sessions.evict_errors
-// moved) and to the flight recorder, whose evict-error trigger captures
-// an incident bundle. Callers must not hold m.mu.
+// moved) and onto the host stream, where the flight recorder's
+// evict-error trigger captures an incident bundle. Callers must not
+// hold m.mu.
 func (m *Manager) noteEvictFailure(s *Session, err error) {
-	s.mu.Lock()
-	tenant := s.tenant
-	s.mu.Unlock()
+	tenant := s.Tenant()
 	m.decisions.Record(obs.Decision{
 		Stage:     "session.evict",
 		Candidate: s.id,
@@ -494,8 +418,8 @@ func (m *Manager) noteEvictFailure(s *Session, err error) {
 		Reason:    fmt.Sprintf("tenant %q: %v", tenant, err),
 		Rank:      -1,
 	})
-	m.flight.RecordEvent(flight.EventEvictError, s.id, tenant, err.Error())
-	m.flight.Trigger(flight.TriggerEvictError, err.Error(), s.id, tenant)
+	m.stream.Publish(obs.Event{Kind: obs.KindLifecycle, Name: obs.EventEvictError,
+		Session: s.id, Tenant: tenant, Detail: err.Error()})
 }
 
 // Destroy removes a session entirely: waits for any holder to release,
@@ -705,7 +629,7 @@ const reasonCapacity = "session table full"
 // fast-burn, breaker majority); both have their own synchronization,
 // so this runs outside m.mu.
 func (m *Manager) softShedding() (bool, string) {
-	if st := m.slo.Status(); st.FastAlert {
+	if st := m.stream.SLO(); st.FastAlert {
 		return true, fmt.Sprintf("SLO fast-burn alert (burn %.1f× budget)", st.FastBurn)
 	}
 	if m.cfg.Breakers != nil {
@@ -824,7 +748,7 @@ func (m *Manager) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["sessions.reloads"] = st.Reloads
 	snap.Counters["sessions.recovered"] = st.Recovered
 	snap.Counters["sessions.admission_rejected"] = st.Rejected
-	snap.Counters["spans.dropped"] = m.ring.Dropped()
+	snap.Counters["spans.dropped"] = m.stream.Dropped()
 	snap.Gauges["sessions.count"] = float64(st.Sessions)
 	snap.Gauges["sessions.resident"] = float64(st.Resident)
 	snap.Gauges["sessions.resident_bytes"] = float64(st.ResidentBytes)
@@ -850,6 +774,6 @@ func (m *Manager) MetricsSnapshot() obs.Snapshot {
 		snap.Gauges["sessions.store_quarantined"] = float64(sst.Quarantined)
 		snap.Gauges["sessions.store_quarantine_files"] = float64(sst.QuarantineFiles)
 	}
-	m.quality.Fold(snap)
+	m.stream.Quality().Fold(snap)
 	return snap
 }

@@ -1,7 +1,7 @@
 // Package session turns CopyCat from a one-workspace library into a
 // hostable multi-tenant service. Every piece of mutable state a user
 // accumulates — imported relations, learned semantic types, MIRA edge
-// weights, the plan cache, the decision log, SLO windows — already
+// weights, the plan cache, the decision log, quality counters — already
 // hangs off one workspace.Workspace; this package wraps that state in a
 // Session handle and hosts thousands of them behind a Manager with:
 //
@@ -26,11 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"copycat/internal/catalog"
 	"copycat/internal/modellearn"
+	"copycat/internal/obs"
+	"copycat/internal/obs/flight"
 	"copycat/internal/persist"
 	"copycat/internal/sourcegraph"
 	"copycat/internal/workspace"
@@ -48,7 +49,7 @@ var (
 )
 
 // State is everything a session owns: the workspace (tabs, learners,
-// caches, logs, SLO windows) plus the catalog and type library it was
+// caches, logs) plus the catalog and type library it was
 // built over. A Factory produces a fresh State per session; Restore
 // replays a persisted snapshot into a fresh one.
 type State struct {
@@ -66,10 +67,9 @@ type Factory func() (*State, error)
 
 // Snapshot serializes the state with the v2 persist format: relations,
 // types, learned edge costs, the workspace surface, and the plan-cache
-// counters. SLO window state is intentionally NOT serialized: the
-// windows are time-based (minutes), so by the time an evicted session
-// is reloaded they would have aged out anyway — reload resets them, and
-// DESIGN.md §12 documents the reset.
+// counters. The event stream (and with it the SLO windows) is not
+// session state: a hosted session publishes on the host's stream, which
+// outlives its evictions.
 func (st *State) Snapshot() ([]byte, error) {
 	extras := &persist.Extras{Workspace: persist.DumpWorkspace(st.Workspace)}
 	if pc := st.Workspace.PlanCache; pc != nil {
@@ -107,6 +107,15 @@ func (st *State) Restore(data []byte) error {
 		ws.Quality.Restore(*r.Quality)
 	}
 	return nil
+}
+
+// refreshes counts the suggestion refreshes the resident workspace ran
+// (0 while evicted).
+func (st *State) refreshes() int64 {
+	if st == nil {
+		return 0
+	}
+	return st.Workspace.Refreshes()
 }
 
 // sessionBaseBytes is the per-session overhead estimate (learners,
@@ -155,10 +164,9 @@ type Session struct {
 	// useMu is the pin; held from Acquire to Release.
 	useMu sync.Mutex
 
-	refreshes atomic.Int64 // suggest.refresh stages observed by the hook
-
 	mu        sync.Mutex // guards the fields below (lock order: mgr.mu → mu)
 	st        *State     // nil while evicted
+	refreshes int64      // suggestion refreshes of evicted incarnations
 	created   time.Time
 	lastUsed  time.Time
 	bytes     int64 // last size estimate while resident
@@ -168,9 +176,14 @@ type Session struct {
 }
 
 // NewStandalone wraps a State in an unmanaged session handle: no
-// manager, never evicted, Release is a no-op. The copycat.System facade
-// is exactly this — one standalone session.
+// manager, never evicted, Release is a no-op. The workspace gets a
+// stream of its own, on its clock, with a flight recorder attached.
+// The copycat.System facade is exactly this — one standalone session.
 func NewStandalone(id string, st *State) *Session {
+	ws := st.Workspace
+	stream := obs.NewStream(ws.Clock())
+	flight.New(stream, flight.Config{Metrics: ws.MetricsSnapshot, Registry: ws.Metrics})
+	ws.SetStream(stream)
 	now := time.Now()
 	return &Session{id: id, st: st, created: now, lastUsed: now}
 }
@@ -222,7 +235,7 @@ func (s *Session) info() Info {
 		Tenant:    s.tenant,
 		Resident:  s.st != nil,
 		Bytes:     s.bytes,
-		Refreshes: s.refreshes.Load(),
+		Refreshes: s.refreshes + s.st.refreshes(),
 		Reloads:   s.reloads,
 		Evictions: s.evictions,
 		Created:   s.created,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"copycat/internal/obs"
-	"copycat/internal/resilience"
 	"copycat/internal/session"
 	"copycat/internal/simuser"
 	"copycat/internal/webworld"
@@ -300,14 +299,14 @@ func TestReloadPreservesPlanCacheCounters(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsOnFastBurn drives the host SLO tracker on a virtual
-// clock: when the fast-burn alert fires, Create sheds with
+// TestAdmissionShedsOnFastBurn drives the host stream's SLO tracker on
+// a virtual clock: when the fast-burn alert fires, Create sheds with
 // ErrOverloaded; once the burn window ages out, admission reopens.
 func TestAdmissionShedsOnFastBurn(t *testing.T) {
 	w := testWorld()
-	clock := resilience.NewVirtualClock()
-	slo := obs.NewSLOTracker(obs.DefaultSLOConfig(), clock.Now)
-	m := session.NewManager(session.Config{Factory: demoFactory(w), Clock: clock, SLO: slo})
+	clock := obs.NewVirtualClock()
+	m := session.NewManager(session.Config{Factory: demoFactory(w), Clock: clock})
+	slo := m.Stream()
 
 	if s, err := m.Create("ok"); err != nil {
 		t.Fatalf("Create while healthy: %v", err)
@@ -317,9 +316,9 @@ func TestAdmissionShedsOnFastBurn(t *testing.T) {
 
 	// Burn the fast window: every refresh blows the 25ms objective.
 	for i := 0; i < 50; i++ {
-		slo.Observe(200 * time.Millisecond)
+		slo.Publish(obs.Event{Kind: obs.KindStage, Name: obs.SLOStage, Dur: 200 * time.Millisecond})
 	}
-	if st := slo.Status(); !st.FastAlert {
+	if st := slo.SLO(); !st.FastAlert {
 		t.Fatalf("fast alert not firing: %+v", st)
 	}
 	if _, err := m.Create("shed"); !errors.Is(err, session.ErrOverloaded) {
@@ -334,7 +333,7 @@ func TestAdmissionShedsOnFastBurn(t *testing.T) {
 	// reopens — deterministically, because everything runs on the
 	// virtual clock.
 	clock.Advance(10 * time.Minute)
-	if st := slo.Status(); st.FastAlert {
+	if st := slo.SLO(); st.FastAlert {
 		t.Fatalf("fast alert still firing after window aged out: %+v", st)
 	}
 	if s, err := m.Create("recovered"); err != nil {
@@ -410,11 +409,11 @@ func TestSessionIDThreading(t *testing.T) {
 	if !found {
 		t.Fatal("no decision stamped with the session ID")
 	}
-	// Spans published to the shared host ring carry it as an attribute.
-	events, _, _ := m.Ring().Since(0)
+	// Spans published on the host stream carry it as an attribute.
+	events, _, _ := m.Stream().Since(0)
 	foundSpan := false
 	for _, ev := range events {
-		for _, a := range ev.Attrs {
+		for _, a := range ev.Span.Attrs {
 			if a.Key == "session" && a.Value == s.ID() {
 				foundSpan = true
 			}
@@ -437,7 +436,7 @@ func TestHostSLOObservesAllSessions(t *testing.T) {
 		s.State().Workspace.RefreshColumnSuggestions()
 		s.Release()
 	}
-	if st := m.SLO().Status(); st.FastCount < 3 {
+	if st := m.Stream().SLO(); st.FastCount < 3 {
 		t.Fatalf("host SLO observed %d refreshes, want >= 3", st.FastCount)
 	}
 	snap := m.MetricsSnapshot()

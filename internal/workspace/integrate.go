@@ -223,6 +223,7 @@ func (w *Workspace) RefreshColumnSuggestions() []intlearn.Completion {
 	ec, cancel := w.execCtx("suggest.refresh")
 	w.pendingCols = w.Int.ColumnCompletionsCtx(ec, base, []string{t.SourceNode})
 	cancel()
+	w.refreshes.Add(1)
 	w.qualityRound()
 	return w.pendingCols
 }

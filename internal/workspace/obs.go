@@ -11,53 +11,71 @@ import (
 	"copycat/internal/obs/flight"
 )
 
-// now reads the workspace clock (wall clock unless one was injected —
-// benchmarks and the determinism tests inject a VirtualClock).
-func (w *Workspace) now() time.Time {
-	if w.Clock != nil {
-		return w.Clock.Now()
+// Clock returns the clock the workspace times its stages, spans, and
+// service calls on: the one injected with SetClock, else its stream's
+// (a hosted workspace without a clock of its own runs on the host's).
+func (w *Workspace) Clock() obs.Clock {
+	if w.clock != nil {
+		return w.clock
 	}
-	return time.Now()
+	return w.stream.Clock()
 }
+
+// SetClock injects the workspace clock. On a workspace that owns its
+// stream (a standalone one) the clock drives the stream too — SLO
+// windows and incident stamps — so a clock injected after New still
+// governs everything; a hosted workspace's stream stays on the host
+// clock.
+func (w *Workspace) SetClock(c obs.Clock) {
+	w.clock = c
+	w.stream.SetClock(c)
+}
+
+func (w *Workspace) now() time.Time { return w.Clock().Now() }
+
+// Stream returns the event stream the workspace publishes on (nil
+// before session.NewStandalone or a session host gave it one).
+func (w *Workspace) Stream() *obs.Stream { return w.stream }
+
+// SetStream points every publisher of the workspace — its stages and
+// quality events, the decision log, the trace, the integration
+// learner's background refines, and the resilience layer's breakers —
+// at s. session.NewStandalone gives a workspace its own stream, a
+// session host a handle on the host's, and nil detaches publishing
+// entirely (the overhead experiment's control arm). Call between
+// refreshes, not during one.
+func (w *Workspace) SetStream(s *obs.Stream) {
+	w.stream = s
+	w.Decisions.SetStream(s)
+	w.trace.SetStream(s)
+	w.Int.Stream = s
+	w.Resilience.SetStream(s)
+}
+
+// Flight returns the flight recorder attached to the workspace's
+// stream (the host's for a hosted workspace), or nil.
+func (w *Workspace) Flight() *flight.Recorder {
+	r, _ := w.stream.Incidents().(*flight.Recorder)
+	return r
+}
+
+// SLO reports the suggestion-refresh latency objective's status on the
+// workspace's stream (the host-wide objective for a hosted workspace).
+func (w *Workspace) SLO() obs.SLOStatus { return w.stream.SLO() }
+
+// Refreshes counts the suggestion refreshes the workspace has run.
+func (w *Workspace) Refreshes() int64 { return w.refreshes.Load() }
 
 // EnableTracing starts recording spans for every pipeline stage into a
 // fresh trace on the workspace clock. Until called, tracing is disabled
-// and costs nothing beyond a nil check per stage. Ended spans also feed
-// the live span ring (so an attached telemetry server streams them as
-// they happen) and the flight recorder's retained timeline.
+// and costs nothing beyond a nil check per stage. Ended spans are also
+// published on the workspace stream, so an attached telemetry server
+// streams them as they happen and the flight recorder's timeline holds
+// them.
 func (w *Workspace) EnableTracing() {
-	w.trace = obs.NewTrace(w.Clock)
-	w.trace.SetSink(func(ev obs.SpanEvent) {
-		w.spanRing.Publish(ev)
-		w.flight.ObserveSpan(ev)
-	})
+	w.trace = obs.NewTrace(w.Clock())
+	w.trace.SetStream(w.stream)
 }
-
-// SpanRing exposes the live-span buffer the telemetry server's
-// /trace/stream endpoint reads. Always non-nil after New; it only
-// receives spans while tracing is enabled.
-func (w *Workspace) SpanRing() *obs.SpanRing { return w.spanRing }
-
-// SetSpanRing replaces the live-span buffer, so a session manager can
-// point many workspaces at one shared host ring and stream every
-// tenant's spans from a single /trace/stream. Call before
-// EnableTracing; the trace publishes into whichever ring was current
-// when tracing was enabled.
-func (w *Workspace) SetSpanRing(r *obs.SpanRing) {
-	if r != nil {
-		w.spanRing = r
-	}
-}
-
-// Flight exposes the workspace's flight recorder (the always-on
-// incident capturer). Nil only after SetFlight(nil) detached it.
-func (w *Workspace) Flight() *flight.Recorder { return w.flight }
-
-// SetFlight replaces the flight recorder: a session manager points many
-// workspaces at one shared host recorder, and the overhead experiment
-// passes nil to detach recording entirely (every feed tolerates a nil
-// recorder). Call between refreshes, not during one.
-func (w *Workspace) SetFlight(r *flight.Recorder) { w.flight = r }
 
 // DisableTracing stops span recording (the trace collected so far is
 // discarded).
@@ -75,39 +93,21 @@ func (w *Workspace) Trace() *obs.Trace { return w.trace }
 func (w *Workspace) TraceTo(out io.Writer) error { return w.trace.WriteChrome(out) }
 
 // stage opens one top-level pipeline stage: a root span on the session
-// trace (when tracing is on), a sample in the stage's latency
-// histogram, and — for the stage the SLO objective covers — an
-// observation in the rolling burn windows. The returned done func ends
-// all of them.
+// trace (when tracing is on) and a sample in the stage's latency
+// histogram. The returned done func ends both and publishes the stage
+// completion on the stream, whose consumers fold it into the SLO
+// windows and the flight recorder's trigger rules.
 func (w *Workspace) stage(name string) (*obs.Span, func()) {
 	sp := w.trace.Start(name, "stage")
-	if w.SessionID != "" {
-		sp.SetAttr("session", w.SessionID)
+	if id := w.stream.Session(); id != "" {
+		sp.SetAttr("session", id)
 	}
 	h := w.Metrics.Histogram("latency." + name)
-	slo := w.SLO
-	if slo != nil && !slo.Tracks(name) {
-		slo = nil
-	}
-	hook := w.StageHook
-	if sp == nil && h == nil && slo == nil && hook == nil {
-		return nil, func() {}
-	}
 	start := w.now()
 	return sp, func() {
 		d := w.now().Sub(start)
 		h.Observe(d)
-		slo.Observe(d)
-		if slo != nil && w.flight.Armed(flight.TriggerSLOFastBurn) {
-			// Armed is a cheap cooldown pre-check, so the SLO status (three
-			// window merges) is only computed when a capture could happen.
-			if st := slo.Status(); st.FastAlert {
-				w.flight.Trigger(flight.TriggerSLOFastBurn, st.String(), w.SessionID, "")
-			}
-		}
-		if hook != nil {
-			hook(name, d)
-		}
+		w.stream.Publish(obs.Event{Kind: obs.KindStage, Name: name, Dur: d})
 		sp.End()
 	}
 }
@@ -148,7 +148,7 @@ func (w *Workspace) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["engine.retries"] = es.Retries
 	snap.Counters["engine.breaker_trips"] = es.BreakerTrips
 	snap.Counters["engine.degraded_rows"] = es.DegradedRows
-	snap.Counters["spans.dropped"] = w.spanRing.Dropped()
+	snap.Counters["spans.dropped"] = w.stream.Dropped()
 	if w.SvcCache != nil {
 		snap.Gauges["cache.entries"] = float64(w.SvcCache.Len())
 	}
@@ -159,7 +159,7 @@ func (w *Workspace) MetricsSnapshot() obs.Snapshot {
 		snap.Gauges["plancache.entries"] = float64(w.PlanCache.Len())
 		snap.Gauges["plancache.hit_rate"] = w.PlanCache.HitRate()
 	}
-	w.Quality.Fold(snap)
+	w.Quality.Snapshot().Fold(snap)
 	return snap
 }
 

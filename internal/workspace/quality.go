@@ -21,13 +21,12 @@ const (
 )
 
 // qualityEvent routes one suggestion-feedback observation to the
-// workspace tracker, the optional host-level hook, and the decision
-// log's "quality" stage (the `:why quality` surface).
+// workspace tracker, the stream (a session host's folds it into its
+// host-wide and per-tenant trackers), and the decision log's "quality"
+// stage (the `:why quality` surface).
 func (w *Workspace) qualityEvent(ev obs.QualityEvent) {
 	w.Quality.Observe(ev)
-	if w.QualityHook != nil {
-		w.QualityHook(ev)
-	}
+	w.stream.Publish(obs.Event{Kind: obs.KindQuality, Quality: ev})
 	if w.Decisions == nil {
 		return
 	}

@@ -12,9 +12,9 @@ import (
 // accepts, column rejects and accepts, rounds-to-accept, and the undo
 // attribution back to the accepted surface.
 func TestQualityInstrumentationAcrossSurfaces(t *testing.T) {
-	var hooked []obs.QualityEvent
 	e := newEnv(t, 0)
-	e.ws.QualityHook = func(ev obs.QualityEvent) { hooked = append(hooked, ev) }
+	host := obs.NewHostStream(nil, obs.NewRegistry())
+	e.ws.SetStream(host.For("s1", "acme"))
 	e.pasteShelters(t, 2)
 	if err := e.ws.AcceptRows(); err != nil {
 		t.Fatal(err)
@@ -60,20 +60,13 @@ func TestQualityInstrumentationAcrossSurfaces(t *testing.T) {
 		t.Fatalf("undo not tracked: %+v", st)
 	}
 
-	// The hook saw the same stream the tracker did.
-	var accepts, rejects, undos int
-	for _, ev := range hooked {
-		switch {
-		case ev.Undo:
-			undos++
-		case ev.Accepted:
-			accepts++
-		default:
-			rejects++
+	// The stream carried the same events to the host-wide and the
+	// tenant's trackers.
+	for name, hs := range map[string]obs.QualityStats{"host": host.Quality(), "tenant": host.TenantQuality()["acme"]} {
+		if hs.TotalAccepts != 2 || hs.TotalRejects != 1 || hs.AcceptsUndone != 1 {
+			t.Fatalf("%s tracker saw %d/%d/%d accept/reject/undo, want 2/1/1",
+				name, hs.TotalAccepts, hs.TotalRejects, hs.AcceptsUndone)
 		}
-	}
-	if accepts != 2 || rejects != 1 || undos != 1 {
-		t.Fatalf("hook saw %d/%d/%d accept/reject/undo, want 2/1/1", accepts, rejects, undos)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"copycat/internal/catalog"
@@ -21,7 +22,6 @@ import (
 	"copycat/internal/intlearn"
 	"copycat/internal/modellearn"
 	"copycat/internal/obs"
-	"copycat/internal/obs/flight"
 	"copycat/internal/plancache"
 	"copycat/internal/provenance"
 	"copycat/internal/resilience"
@@ -152,51 +152,26 @@ type Workspace struct {
 	// outranked, accepted, or rejected (the :why surface). Always
 	// non-nil after New.
 	Decisions *obs.DecisionLog
-	// SLO tracks the suggestion-refresh latency objective over rolling
-	// fast/slow burn windows — the "recent behaviour" counterpart of the
-	// cumulative Metrics histograms, surfaced by the telemetry server's
-	// /healthz and /metrics and the REPL :slo command. Always non-nil
-	// after New; it reads the workspace clock, so virtual-clock sessions
-	// burn deterministically.
-	SLO *obs.SLOTracker
-	// Clock drives stage timing and (when tracing) span timestamps; nil
-	// means the wall clock. Inject a resilience.VirtualClock for
-	// deterministic traces.
-	Clock resilience.Clock
-	// SessionID identifies the session handle that owns this workspace in
-	// a multi-tenant host. When set, every stage span carries it as the
-	// "session" attribute (so a followed /trace/stream interleaving many
-	// tenants stays attributable). "" for the single-workspace facade.
-	SessionID string
-	// StageHook, when non-nil, observes every completed pipeline stage
-	// (name + duration) in addition to this workspace's own histograms
-	// and SLO tracker. The session manager uses it to fold per-session
-	// latencies into host-level admission-control SLOs.
-	StageHook func(stage string, d time.Duration)
 	// Quality accumulates live suggestion-quality telemetry (acceptance
 	// rate, rank-of-accepted histogram, rounds-to-accept) from every
 	// accept/reject/undo. Always non-nil after New; folded into
 	// MetricsSnapshot as the "quality.*" families.
 	Quality *obs.QualityTracker
-	// QualityHook, when non-nil, observes every quality event in
-	// addition to the workspace's own tracker. The session manager uses
-	// it to aggregate host-level and per-tenant quality counters that
-	// survive session eviction.
-	QualityHook func(ev obs.QualityEvent)
 
+	// clock, when set, drives stage timing and span timestamps; nil
+	// means the stream clock. Managed by SetClock.
+	clock obs.Clock
+	// stream is the event stream every publisher of this workspace
+	// feeds: its own (session.NewStandalone) or a handle on a session
+	// host's (Manager.wire). nil until one of them sets it, which leaves
+	// every publish a no-op. Managed by SetStream.
+	stream *obs.Stream
 	// trace is the active span tracer; nil (the default) disables
 	// tracing at ~zero cost. Managed by EnableTracing/DisableTracing.
 	trace *obs.Trace
-	// spanRing buffers ended spans for live streaming (/trace/stream);
-	// EnableTracing plugs it into the trace as a sink.
-	spanRing *obs.SpanRing
-	// flight is the always-on flight recorder: it retains recent spans,
-	// decisions, and lifecycle events, and captures incident bundles when
-	// a trigger rule fires. New installs a workspace-local recorder; a
-	// session manager replaces it with the shared host recorder via
-	// SetFlight. nil (via SetFlight(nil)) detaches recording entirely —
-	// the overhead experiment's control arm.
-	flight *flight.Recorder
+	// refreshes counts suggestion refreshes (the session host's
+	// per-session refresh counter).
+	refreshes atomic.Int64
 
 	mode   Mode
 	tabs   []*Tab
@@ -246,30 +221,8 @@ func New(cat *catalog.Catalog, types *modellearn.Library) *Workspace {
 		Metrics:        obs.NewRegistry(),
 		Decisions:      obs.NewDecisionLog(),
 		Quality:        obs.NewQualityTracker(),
-		spanRing:       obs.NewSpanRing(obs.DefaultSpanRingSize),
 		structLearners: map[string]*structlearn.Learner{},
 		demotions:      map[string]int{},
-	}
-	// The tracker reads w.now at observe time, so a clock injected after
-	// New (NewDemoSystem installs the virtual clock last) still drives it.
-	w.SLO = obs.NewSLOTracker(obs.DefaultSLOConfig(), w.now)
-	// The flight recorder likewise reads w.now per record, so it follows
-	// a late-injected virtual clock (and re-anchors its cooldowns when
-	// the clock jumps backwards to the virtual epoch).
-	w.flight = flight.New(flight.Config{
-		Clock:    w.now,
-		Metrics:  w.MetricsSnapshot,
-		Registry: w.Metrics,
-	})
-	// Every recorded decision streams into whichever recorder is current
-	// (the closure re-reads w.flight, so SetFlight redirects it too).
-	w.Decisions.SetSink(func(d obs.Decision) { w.flight.ObserveDecision(d) })
-	// Background exact-refinement failures are an incident trigger: the
-	// refine goroutine captured this hook at spawn, so it reports into
-	// the recorder that owned the workspace when the refresh started.
-	w.Int.RefineFailHook = func(reason string) {
-		w.flight.RecordEvent(flight.EventRefineFailed, w.SessionID, "", reason)
-		w.flight.Trigger(flight.TriggerRefineFailure, reason, w.SessionID, "")
 	}
 	w.tabs = []*Tab{{Name: "Sheet1", Schema: table.Schema{}}}
 	return w
@@ -461,9 +414,7 @@ func (w *Workspace) execCtx(stage string) (*engine.ExecCtx, context.CancelFunc) 
 	if w.Decisions != nil {
 		opts = append(opts, engine.WithDecisions(w.Decisions))
 	}
-	if w.Clock != nil {
-		opts = append(opts, engine.WithExecClock(w.Clock))
-	}
+	opts = append(opts, engine.WithExecClock(w.Clock()))
 	ec := engine.NewExecCtx(ctx, opts...)
 	sp, done := w.stage(stage)
 	if sp != nil {

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"copycat/internal/resilience"
+	"copycat/internal/obs"
 )
 
 // tracedDemoSession runs the demo scenario (paste two shelters, accept,
@@ -20,7 +20,7 @@ import (
 func tracedDemoSession(t *testing.T) *System {
 	t.Helper()
 	sys := NewDemoSystem(DefaultWorldConfig())
-	sys.Workspace.Clock = resilience.NewVirtualClock()
+	sys.Workspace.SetClock(obs.NewVirtualClock())
 	sys.EnableTracing()
 	browser := sys.OpenBrowser(sys.ShelterSite(StyleTable))
 	s0, s1 := sys.World.Shelters[0], sys.World.Shelters[1]

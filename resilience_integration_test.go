@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"copycat/internal/obs"
 	"copycat/internal/resilience"
 	"copycat/internal/services"
 )
@@ -87,7 +88,7 @@ func TestZeroFaultRateIsTransparent(t *testing.T) {
 		if wrap {
 			// Manually install the resilience stack over zero-fault
 			// injected services — the layer itself, not the faults.
-			clock := resilience.NewVirtualClock()
+			clock := obs.NewVirtualClock()
 			policy := resilience.DefaultPolicy()
 			policy.Clock = clock
 			sys.Workspace.Resilience = resilience.NewCaller(policy, resilience.DefaultBreakerConfig())
