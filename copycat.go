@@ -391,11 +391,10 @@ func (h *Host) Serve(ctx context.Context, addr string) (*TelemetryServer, error)
 		Stream:    h.Manager.Stream(),
 		Host:      h.Manager,
 		Decisions: h.Manager.Decisions(),
-		Incidents: h.Manager.Flight(),
 		Quality: func() serve.QualityReport {
 			return serve.QualityReport{
-				QualityStats: h.Manager.Quality(),
-				Tenants:      h.Manager.TenantQuality(),
+				QualityStats: h.Manager.Stream().Quality(),
+				Tenants:      h.Manager.Stream().TenantQuality(),
 			}
 		},
 	})
@@ -485,7 +484,6 @@ func (s *System) Serve(ctx context.Context, addr string) (*TelemetryServer, erro
 		Breakers:  s.Workspace.Resilience.Status,
 		Stream:    s.Workspace.Stream(),
 		Decisions: s.Workspace.Decisions,
-		Incidents: s.Workspace.Flight(),
 		Quality: func() serve.QualityReport {
 			return serve.QualityReport{QualityStats: s.Workspace.QualityStats()}
 		},

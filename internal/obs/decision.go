@@ -66,13 +66,13 @@ const maxDecisions = 4096
 // parallel candidate executor records into one shared log). A nil
 // *DecisionLog is inert.
 type DecisionLog struct {
-	ring   *Ring[Decision]
+	ring   *Ring[*Decision]
 	mu     sync.Mutex
 	stream *Stream
 }
 
 // NewDecisionLog creates an empty log.
-func NewDecisionLog() *DecisionLog { return &DecisionLog{ring: NewRing[Decision](maxDecisions)} }
+func NewDecisionLog() *DecisionLog { return &DecisionLog{ring: NewRing[*Decision](maxDecisions)} }
 
 // SetStream points the log at the stream its decisions are published
 // on; decisions are stamped with the stream handle's session. nil stops
@@ -100,9 +100,9 @@ func (l *DecisionLog) Record(d Decision) {
 	}
 	// Sequence numbers are 1-based; under l.mu they match push order.
 	d.Seq = int(l.ring.next) + 1
-	l.ring.Push(d)
+	l.ring.Push(&d)
 	l.mu.Unlock()
-	stream.Publish(Event{Kind: KindDecision, Decision: d})
+	stream.Publish(Event{Kind: KindDecision, Decision: &d})
 }
 
 // Decisions returns a copy of the log, oldest first.
@@ -110,7 +110,11 @@ func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
 		return nil
 	}
-	ds, _, _ := l.ring.Since(0)
+	ps, _, _ := l.ring.Since(0)
+	ds := make([]Decision, len(ps))
+	for i, p := range ps {
+		ds[i] = *p
+	}
 	return ds
 }
 

@@ -375,11 +375,11 @@ func (r *Recorder) timeline(inc *Incident, cutoff int64) {
 				Session: ev.Session, Tenant: ev.Tenant, Detail: ev.Detail,
 			})
 		case obs.KindSpan:
-			sp := ev.Span
+			sp := *ev.Span
 			sp.Seq = ev.Seq
 			inc.Spans = append(inc.Spans, SpanRecord{AtNs: ev.AtNs, Span: sp})
 		case obs.KindDecision:
-			inc.Decisions = append(inc.Decisions, DecisionRecord{AtNs: ev.AtNs, Decision: ev.Decision})
+			inc.Decisions = append(inc.Decisions, DecisionRecord{AtNs: ev.AtNs, Decision: *ev.Decision})
 		}
 	}
 }

@@ -37,11 +37,11 @@ func (r testRecorder) event(name, session, tenant, detail string) {
 }
 
 func (r testRecorder) span(sp obs.SpanEvent) {
-	r.stream.Publish(obs.Event{Kind: obs.KindSpan, Span: sp})
+	r.stream.Publish(obs.Event{Kind: obs.KindSpan, Span: &sp})
 }
 
 func (r testRecorder) decision(d obs.Decision) {
-	r.stream.Publish(obs.Event{Kind: obs.KindDecision, Decision: d})
+	r.stream.Publish(obs.Event{Kind: obs.KindDecision, Decision: &d})
 }
 
 func TestNilRecorderIsInert(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // publishSpan publishes one span end on s.
-func publishSpan(s *Stream, sp SpanEvent) { s.Publish(Event{Kind: KindSpan, Span: sp}) }
+func publishSpan(s *Stream, sp SpanEvent) { s.Publish(Event{Kind: KindSpan, Span: &sp}) }
 
 // The span feed behind /trace/stream is the stream's ring: these tests
 // pin its publish/since, eviction, wake-up, nil, and dropped contracts.
@@ -54,7 +54,7 @@ func TestSpanRingWaitWakesOnPublish(t *testing.T) {
 	go func() {
 		<-wait
 		events, _, _ := r.Since(cursor)
-		done <- events[0].Span
+		done <- *events[0].Span
 	}()
 	publishSpan(r, SpanEvent{Name: "wake"})
 	select {
@@ -90,7 +90,7 @@ func TestTraceSinkPublishesEndedSpans(t *testing.T) {
 		events, _, _ := ring.Since(0)
 		out := make([]SpanEvent, len(events))
 		for i, ev := range events {
-			out[i] = ev.Span
+			out[i] = *ev.Span
 		}
 		return out
 	}
@@ -239,7 +239,7 @@ func TestRingPushFullAllocatesNothing(t *testing.T) {
 	for i := 0; i < StreamCapacity; i++ {
 		r.Push(Event{})
 	}
-	ev := Event{Kind: KindSpan, Span: SpanEvent{Name: "x"}}
+	ev := Event{Kind: KindSpan, Span: &SpanEvent{Name: "x"}}
 	if n := testing.AllocsPerRun(1000, func() { r.Push(ev) }); n != 0 {
 		t.Fatalf("push on a full ring allocates %.1f times", n)
 	}
@@ -252,7 +252,7 @@ func BenchmarkRingPushFull(b *testing.B) {
 	for i := 0; i < StreamCapacity; i++ {
 		r.Push(Event{})
 	}
-	ev := Event{Kind: KindSpan, Span: SpanEvent{Name: "x"}}
+	ev := Event{Kind: KindSpan, Span: &SpanEvent{Name: "x"}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

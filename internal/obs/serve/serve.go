@@ -50,6 +50,7 @@ import (
 	"copycat/internal/obs/flight"
 	"copycat/internal/resilience"
 	"copycat/internal/session"
+	"sync"
 )
 
 // Config wires the server to its data sources. Any field may be nil;
@@ -60,13 +61,11 @@ type Config struct {
 	// Breakers snapshots per-service circuit breaker state per scrape.
 	Breakers func() []resilience.BreakerStatus
 	// Stream is the event stream whose SLO status /metrics, /healthz,
-	// and /slo surface, and whose retained spans /trace/stream serves.
+	// and /slo surface, whose retained spans /trace/stream serves, and
+	// whose flight recorder /incidents lists.
 	Stream *obs.Stream
 	// Decisions is the decision log behind /decisions.
 	Decisions *obs.DecisionLog
-	// Incidents is the flight recorder behind GET /incidents (list) and
-	// GET /incidents/{id} (fetch one bundle).
-	Incidents *flight.Recorder
 	// Host, when non-nil, exposes the multi-tenant session manager: the
 	// /sessions lifecycle endpoints, per-tenant series on /metrics, and
 	// load-shed readiness (/readyz goes 503 while the host is shedding).
@@ -90,11 +89,16 @@ type Server struct {
 	done     chan struct{}
 	err      error
 	stopCtx  func() bool
+	// drained closes once a shutdown has finished draining open
+	// connections: Serve returns as soon as the listener closes, before
+	// that, so Wait waits for it too.
+	drained   chan struct{}
+	drainOnce sync.Once
 }
 
 // New builds a server on the given sources.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, done: make(chan struct{})}
+	s := &Server{cfg: cfg, done: make(chan struct{}), drained: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -145,22 +149,32 @@ func (s *Server) Start(ctx context.Context, addr string) error {
 	s.srv = &http.Server{Handler: s.mux, BaseContext: func(net.Listener) context.Context { return ctx }}
 	go func() {
 		err := s.srv.Serve(ln)
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if errors.Is(err, http.ErrServerClosed) {
+			<-s.drained
+		} else if err != nil {
 			s.err = err
 		}
 		close(s.done)
 	}()
 	if ctx != nil {
 		s.stopCtx = context.AfterFunc(ctx, func() {
-			s.draining.Store(true)
 			sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
-			if err := s.srv.Shutdown(sctx); err != nil {
+			if err := s.drain(sctx); err != nil {
 				s.srv.Close()
 			}
 		})
 	}
 	return nil
+}
+
+// drain flips readiness, shuts the server down gracefully, and marks
+// the drain finished.
+func (s *Server) drain(ctx context.Context) error {
+	s.draining.Store(true)
+	err := s.srv.Shutdown(ctx)
+	s.drainOnce.Do(func() { close(s.drained) })
+	return err
 }
 
 // Addr reports the bound listen address ("" before Start).
@@ -187,8 +201,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.stopCtx != nil {
 		s.stopCtx()
 	}
-	s.draining.Store(true)
-	err := s.srv.Shutdown(ctx)
+	err := s.drain(ctx)
 	<-s.done
 	return err
 }
@@ -289,7 +302,7 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 			if ev.Kind != obs.KindSpan {
 				continue
 			}
-			sp := ev.Span
+			sp := *ev.Span
 			sp.Seq = ev.Seq
 			if err := enc.Encode(sp); err != nil {
 				return
@@ -336,7 +349,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // handleIncidentsList serves the captured incident bundles' summaries,
 // newest first (an empty array with no flight recorder wired).
 func (s *Server) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
-	list := s.cfg.Incidents.Incidents()
+	list := s.incidents().Incidents()
 	if list == nil {
 		list = []flight.Summary{}
 	}
@@ -347,12 +360,19 @@ func (s *Server) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
 // document the on-disk incident dir holds.
 func (s *Server) handleIncidentGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	inc, ok := s.cfg.Incidents.Incident(id)
+	inc, ok := s.incidents().Incident(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown incident " + id})
 		return
 	}
 	writeJSON(w, http.StatusOK, inc)
+}
+
+// incidents returns the flight recorder attached to the stream (nil,
+// and inert, if none).
+func (s *Server) incidents() *flight.Recorder {
+	r, _ := s.cfg.Stream.Incidents().(*flight.Recorder)
+	return r
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

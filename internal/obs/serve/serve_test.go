@@ -262,7 +262,7 @@ func TestHealthDegradedRowRate(t *testing.T) {
 
 func TestTraceStreamDumpAndFollow(t *testing.T) {
 	stream := obs.NewStream(nil)
-	publish := func(sp obs.SpanEvent) { stream.Publish(obs.Event{Kind: obs.KindSpan, Span: sp}) }
+	publish := func(sp obs.SpanEvent) { stream.Publish(obs.Event{Kind: obs.KindSpan, Span: &sp}) }
 	log := obs.NewDecisionLog()
 	log.SetStream(stream)
 	s := New(Config{Stream: stream, Decisions: log})
@@ -487,7 +487,7 @@ func TestIncidentsEndpoints(t *testing.T) {
 	if !ok {
 		t.Fatal("trigger should capture")
 	}
-	s := New(Config{Incidents: rec})
+	s := New(Config{Stream: stream})
 
 	get := func(srv *Server, path string) (int, string) {
 		w := httptest.NewRecorder()

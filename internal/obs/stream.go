@@ -46,13 +46,15 @@ const (
 )
 
 // Event is one observation on the stream. Kind says which payload
-// fields are set.
+// field is set. The span, decision, and quality payloads are pointers
+// so a retained event stays small, and so the decision log and the
+// stream share one copy of each decision; a published payload is never
+// modified.
 type Event struct {
 	// Seq is the event's position in the stream's ring (retained kinds
 	// only); AtNs is its publish time on the stream clock.
 	Seq  int64
 	AtNs int64
-	Kind EventKind
 	// Session and Tenant attribute the event; a stream handle from For
 	// fills them in when the publisher leaves them empty.
 	Session string
@@ -63,15 +65,16 @@ type Event struct {
 	Detail string
 	// Dur is the completed stage's latency (KindStage).
 	Dur      time.Duration
-	Span     SpanEvent
-	Decision Decision
-	Quality  QualityEvent
+	Span     *SpanEvent
+	Decision *Decision
+	Quality  *QualityEvent
+	Kind     EventKind
 }
 
 // StreamCapacity bounds the stream's ring: the most recent span ends,
 // decisions, and lifecycle events, shared by the live span feed and the
 // flight recorder's timeline.
-const StreamCapacity = 4096
+const StreamCapacity = 2048
 
 // Incidents is the flight recorder a stream feeds: it sees every
 // published event after the stream's own consumers and applies its
@@ -217,9 +220,9 @@ func (s *Stream) Publish(ev Event) {
 			s.stages.Histogram("host.latency." + ev.Name).Observe(ev.Dur)
 		}
 	case KindQuality:
-		s.quality.Observe(ev.Quality)
+		s.quality.Observe(*ev.Quality)
 		if s.tenants != nil {
-			s.tenantTracker(ev.Tenant).Observe(ev.Quality)
+			s.tenantTracker(ev.Tenant).Observe(*ev.Quality)
 		}
 	}
 	if s.incidents != nil {

@@ -164,7 +164,7 @@ func (t *Trace) record(s *Span, end time.Time) {
 	if stream != nil {
 		// Outside the lock: the stream takes its own and may wake
 		// /trace/stream followers.
-		stream.Publish(Event{Kind: KindSpan, Span: SpanEvent{
+		stream.Publish(Event{Kind: KindSpan, Span: &SpanEvent{
 			ID:      rec.id,
 			Parent:  rec.parentID,
 			Name:    rec.name,

@@ -196,14 +196,6 @@ func (m *Manager) wire(s *Session, st *State) {
 	}
 }
 
-// Quality snapshots the host-wide suggestion-quality telemetry
-// aggregated across every session this manager has hosted.
-func (m *Manager) Quality() obs.QualityStats { return m.stream.Quality() }
-
-// TenantQuality snapshots the per-tenant quality trackers. Tenants that
-// have produced no feedback yet are absent.
-func (m *Manager) TenantQuality() map[string]obs.QualityStats { return m.stream.TenantQuality() }
-
 // Create admits and builds a new session for a tenant. The returned
 // session is already pinned (as if Acquired) — use its State, then
 // Release it. Sheds with ErrOverloaded when the host SLO fast-burn

@@ -413,6 +413,9 @@ func TestSessionIDThreading(t *testing.T) {
 	events, _, _ := m.Stream().Since(0)
 	foundSpan := false
 	for _, ev := range events {
+		if ev.Kind != obs.KindSpan {
+			continue
+		}
 		for _, a := range ev.Span.Attrs {
 			if a.Key == "session" && a.Value == s.ID() {
 				foundSpan = true

@@ -26,7 +26,7 @@ const (
 // stage (the `:why quality` surface).
 func (w *Workspace) qualityEvent(ev obs.QualityEvent) {
 	w.Quality.Observe(ev)
-	w.stream.Publish(obs.Event{Kind: obs.KindQuality, Quality: ev})
+	w.stream.Publish(obs.Event{Kind: obs.KindQuality, Quality: &ev})
 	if w.Decisions == nil {
 		return
 	}
