@@ -355,7 +355,7 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 	r.stored.Set(float64(r.incidents.Len()))
 	if dir != "" {
 		// Best-effort: a full disk must not take the serving path down.
-		_ = writeBundle(dir, inc, MaxIncidents)
+		_ = writeBundle(dir, inc)
 	}
 	return id, true
 }
@@ -539,10 +539,10 @@ func sanitizeID(kind string) string {
 const bundleSuffix = ".json"
 
 // writeBundle persists one incident atomically (temp + rename) and
-// prunes the directory to the newest `keep` bundles. Incident IDs are
-// zero-padded sequence numbers, so lexicographic filename order is
+// prunes the directory to the newest MaxIncidents bundles. Incident IDs
+// are zero-padded sequence numbers, so lexicographic filename order is
 // capture order.
-func writeBundle(dir string, inc *Incident, keep int) error {
+func writeBundle(dir string, inc *Incident) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -558,11 +558,11 @@ func writeBundle(dir string, inc *Incident, keep int) error {
 		os.Remove(tmp)
 		return err
 	}
-	return pruneBundles(dir, keep)
+	return pruneBundles(dir)
 }
 
-// pruneBundles deletes the oldest bundles beyond keep.
-func pruneBundles(dir string, keep int) error {
+// pruneBundles deletes the oldest bundles beyond MaxIncidents.
+func pruneBundles(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -573,11 +573,11 @@ func pruneBundles(dir string, keep int) error {
 			names = append(names, e.Name())
 		}
 	}
-	if len(names) <= keep {
+	if len(names) <= MaxIncidents {
 		return nil
 	}
 	sort.Strings(names)
-	for _, name := range names[:len(names)-keep] {
+	for _, name := range names[:len(names)-MaxIncidents] {
 		os.Remove(filepath.Join(dir, name))
 	}
 	return nil

@@ -16,18 +16,10 @@ const (
 	StatusUnhealthy = "unhealthy"
 )
 
-// HealthConfig tunes the health evaluation thresholds.
-type HealthConfig struct {
-	// DegradedRowRateMax is the tolerated fraction of degraded rows
-	// (engine.degraded_rows / engine.rows_out) before the instance
-	// reports degraded.
-	DegradedRowRateMax float64
-}
-
-// DefaultHealthConfig tolerates up to 5% degraded rows.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{DegradedRowRateMax: 0.05}
-}
+// DegradedRowRateMax is the tolerated fraction of degraded rows
+// (engine.degraded_rows / engine.rows_out) before the instance reports
+// degraded.
+const DegradedRowRateMax = 0.05
 
 // Health is the /healthz response body.
 type Health struct {
@@ -48,10 +40,7 @@ type Health struct {
 //   - degraded: a breaker half-open (probing recovery), the SLO
 //     slow-burn alert, or the degraded-row rate above threshold;
 //   - ok otherwise.
-func EvaluateHealth(cfg HealthConfig, snap obs.Snapshot, breakers []resilience.BreakerStatus, slo *obs.SLOStatus) Health {
-	if cfg.DegradedRowRateMax <= 0 {
-		cfg = DefaultHealthConfig()
-	}
+func EvaluateHealth(snap obs.Snapshot, breakers []resilience.BreakerStatus, slo *obs.SLOStatus) Health {
 	h := Health{Status: StatusOK, Breakers: breakers, SLO: slo}
 
 	degrade := func(reason string) {
@@ -76,9 +65,9 @@ func EvaluateHealth(cfg HealthConfig, snap obs.Snapshot, breakers []resilience.B
 
 	if out := snap.Counters["engine.rows_out"]; out > 0 {
 		h.DegradedRowRate = float64(snap.Counters["engine.degraded_rows"]) / float64(out)
-		if h.DegradedRowRate > cfg.DegradedRowRateMax {
+		if h.DegradedRowRate > DegradedRowRateMax {
 			degrade(fmt.Sprintf("degraded-row rate %.1f%% above %.1f%%",
-				100*h.DegradedRowRate, 100*cfg.DegradedRowRateMax))
+				100*h.DegradedRowRate, 100*DegradedRowRateMax))
 		}
 	}
 

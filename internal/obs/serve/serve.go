@@ -74,8 +74,6 @@ type Config struct {
 	// on /quality and appends its per-tenant counter families to
 	// /metrics.
 	Quality func() QualityReport
-	// Health tunes the /healthz thresholds; zero takes defaults.
-	Health HealthConfig
 }
 
 // Server is a running telemetry server. Create with New, start with
@@ -242,7 +240,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap, breakers, slo := s.snapshot()
-	h := EvaluateHealth(s.cfg.Health, snap, breakers, slo)
+	h := EvaluateHealth(snap, breakers, slo)
 	code := http.StatusOK
 	if h.Status == StatusUnhealthy {
 		code = http.StatusServiceUnavailable

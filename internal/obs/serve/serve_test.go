@@ -248,14 +248,14 @@ func TestHealthDegradedRowRate(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("engine.rows_out").Add(100)
 	reg.Counter("engine.degraded_rows").Add(10)
-	h := EvaluateHealth(HealthConfig{}, reg.Snapshot(), nil, nil)
+	h := EvaluateHealth(reg.Snapshot(), nil, nil)
 	if h.Status != StatusDegraded || h.DegradedRowRate != 0.10 {
 		t.Fatalf("health = %+v", h)
 	}
 	reg.Reset()
 	reg.Counter("engine.rows_out").Add(100)
 	reg.Counter("engine.degraded_rows").Add(2)
-	if h := EvaluateHealth(HealthConfig{}, reg.Snapshot(), nil, nil); h.Status != StatusOK {
+	if h := EvaluateHealth(reg.Snapshot(), nil, nil); h.Status != StatusOK {
 		t.Fatalf("2%% degraded should be ok: %+v", h)
 	}
 }
