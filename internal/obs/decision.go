@@ -122,11 +122,15 @@ func (l *DecisionLog) Decisions() []Decision {
 // substring (case-insensitive), oldest first — the ":why <candidate>"
 // lookup.
 func (l *DecisionLog) For(candidate string) []Decision {
+	if l == nil {
+		return nil
+	}
 	needle := strings.ToLower(candidate)
+	ps, _, _ := l.ring.Since(0)
 	var out []Decision
-	for _, d := range l.Decisions() {
-		if strings.Contains(strings.ToLower(d.Candidate), needle) {
-			out = append(out, d)
+	for _, p := range ps {
+		if strings.Contains(strings.ToLower(p.Candidate), needle) {
+			out = append(out, *p)
 		}
 	}
 	return out

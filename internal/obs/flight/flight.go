@@ -220,6 +220,12 @@ func New(stream *obs.Stream, cfg Config) *Recorder {
 	return r
 }
 
+// Attached returns the recorder attached to stream (nil if none).
+func Attached(stream *obs.Stream) *Recorder {
+	r, _ := stream.Incidents().(*Recorder)
+	return r
+}
+
 // SetDir points the recorder at an on-disk incident directory (bundles
 // captured from now on are persisted there). "" disables persistence.
 func (r *Recorder) SetDir(dir string) {

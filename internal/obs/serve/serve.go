@@ -347,7 +347,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // handleIncidentsList serves the captured incident bundles' summaries,
 // newest first (an empty array with no flight recorder wired).
 func (s *Server) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
-	list := s.incidents().Incidents()
+	list := flight.Attached(s.cfg.Stream).Incidents()
 	if list == nil {
 		list = []flight.Summary{}
 	}
@@ -358,19 +358,12 @@ func (s *Server) handleIncidentsList(w http.ResponseWriter, r *http.Request) {
 // document the on-disk incident dir holds.
 func (s *Server) handleIncidentGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	inc, ok := s.incidents().Incident(id)
+	inc, ok := flight.Attached(s.cfg.Stream).Incident(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown incident " + id})
 		return
 	}
 	writeJSON(w, http.StatusOK, inc)
-}
-
-// incidents returns the flight recorder attached to the stream (nil,
-// and inert, if none).
-func (s *Server) incidents() *flight.Recorder {
-	r, _ := s.cfg.Stream.Incidents().(*flight.Recorder)
-	return r
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

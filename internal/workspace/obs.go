@@ -54,10 +54,7 @@ func (w *Workspace) SetStream(s *obs.Stream) {
 
 // Flight returns the flight recorder attached to the workspace's
 // stream (the host's for a hosted workspace), or nil.
-func (w *Workspace) Flight() *flight.Recorder {
-	r, _ := w.stream.Incidents().(*flight.Recorder)
-	return r
-}
+func (w *Workspace) Flight() *flight.Recorder { return flight.Attached(w.stream) }
 
 // SLO reports the suggestion-refresh latency objective's status on the
 // workspace's stream (the host-wide objective for a hosted workspace).
