@@ -31,9 +31,10 @@ type flightReport struct {
 
 // expFlight is the flight-recorder experiment: on one warmed, traced
 // session it compares the cold suggestion-refresh loop with the
-// workspace's event stream detached (no span, decision, stage, or
-// quality event is published anywhere) against the same loop publishing
-// on its stream — ring retention, SLO windows, the live span feed, and
+// workspace's event stream detached (no span, decision, or lifecycle
+// event is published anywhere; stage and quality events only feed the
+// workspace's own histograms and tracker) against the same loop
+// publishing on its stream — ring retention, SLO windows, the live span feed, and
 // the recorder's trigger rules and metric snapshots — to bound the
 // "always-on" cost. Honors -json, -bench-out, and -overhead-budget; the
 // budget is 2%.
@@ -62,7 +63,7 @@ func expFlight() error {
 	// recording ever costs).
 	var detached, recorded time.Duration
 	for r := 0; r < flightReps; r++ {
-		sys.Workspace.SetStream(nil) // control arm: stream detached, every publish no-ops
+		sys.Workspace.SetStream(nil) // control arm: stream detached
 		d, err := pipelineLoop(sys)
 		if err != nil {
 			return err

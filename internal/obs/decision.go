@@ -110,7 +110,7 @@ func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
 		return nil
 	}
-	ps, _, _ := l.ring.Since(0)
+	ps := l.ring.Snapshot()
 	ds := make([]Decision, len(ps))
 	for i, p := range ps {
 		ds[i] = *p
@@ -126,7 +126,7 @@ func (l *DecisionLog) For(candidate string) []Decision {
 		return nil
 	}
 	needle := strings.ToLower(candidate)
-	ps, _, _ := l.ring.Since(0)
+	ps := l.ring.Snapshot()
 	var out []Decision
 	for _, p := range ps {
 		if strings.Contains(strings.ToLower(p.Candidate), needle) {

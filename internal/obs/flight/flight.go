@@ -332,7 +332,7 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 
 	var pre obs.Snapshot
 	var preAge int64
-	snaps, _, _ := r.snaps.Since(0)
+	snaps := r.snaps.Snapshot()
 	for i := len(snaps) - 1; i >= 0; i-- {
 		if !snaps[i].at.After(now) {
 			pre = snaps[i].snap
@@ -369,7 +369,7 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 // timeline splits the stream's retained events published at or after
 // cutoff into the bundle's events, spans, and decisions.
 func (r *Recorder) timeline(inc *Incident, cutoff int64) {
-	evs, _, _ := r.stream.Since(0)
+	evs := r.stream.Snapshot()
 	for _, ev := range evs {
 		if ev.AtNs < cutoff {
 			continue
@@ -395,7 +395,7 @@ func (r *Recorder) Incidents() []Summary {
 	if r == nil {
 		return nil
 	}
-	incs, _, _ := r.incidents.Since(0)
+	incs := r.incidents.Snapshot()
 	out := make([]Summary, 0, len(incs))
 	for i := len(incs) - 1; i >= 0; i-- {
 		inc := incs[i]
@@ -414,7 +414,7 @@ func (r *Recorder) Incident(id string) (*Incident, bool) {
 	if r == nil {
 		return nil, false
 	}
-	incs, _, _ := r.incidents.Since(0)
+	incs := r.incidents.Snapshot()
 	for _, inc := range incs {
 		if inc.ID == id {
 			return inc, true

@@ -11,10 +11,11 @@ import "sync"
 // array grows on demand up to Cap, so a ring that never fills never
 // pays for its full capacity.
 //
-// Readers resume from a cursor with Since, which also hands back a
-// channel that closes on the next push — the follow loop of a live
-// subscriber. The channel exists only while someone waits for it. Safe
-// for concurrent use; a nil *Ring is inert.
+// One-off readers copy the retained entries with Snapshot. A live
+// follower resumes from a cursor with Since, which also hands back a
+// channel that closes on the next push; the channel exists only once a
+// follower has asked for it, so pushes to a ring nobody follows close
+// nothing. Safe for concurrent use; a nil *Ring is inert.
 type Ring[T any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -57,6 +58,12 @@ func (r *Ring[T]) Push(v T) int64 {
 	return seq
 }
 
+// Snapshot returns a copy of every retained entry, oldest first.
+func (r *Ring[T]) Snapshot() []T {
+	entries, _, _ := r.since(0, false)
+	return entries
+}
+
 // Since returns a copy of every retained entry with sequence number >=
 // cursor, oldest first, the cursor to resume from, and a channel that
 // closes on the next Push. Entry i of the result has sequence number
@@ -64,6 +71,12 @@ func (r *Ring[T]) Push(v T) int64 {
 // resumes at the oldest retained entry and the entries it missed are
 // counted in Dropped; cursor 0 is a fresh reader, never a lagging one.
 func (r *Ring[T]) Since(cursor int64) (entries []T, next int64, wake <-chan struct{}) {
+	return r.since(cursor, true)
+}
+
+// since is Since for a follower and Snapshot (cursor 0, no wake
+// channel) for a one-off reader.
+func (r *Ring[T]) since(cursor int64, follow bool) (entries []T, next int64, wake <-chan struct{}) {
 	if r == nil {
 		closed := make(chan struct{})
 		close(closed)
@@ -86,10 +99,13 @@ func (r *Ring[T]) Since(cursor int64) (entries []T, next int64, wake <-chan stru
 			entries = append(entries, r.buf[(r.head+i)%len(r.buf)])
 		}
 	}
-	if r.wake == nil {
-		r.wake = make(chan struct{})
+	if follow {
+		if r.wake == nil {
+			r.wake = make(chan struct{})
+		}
+		wake = r.wake
 	}
-	return entries, r.next, r.wake
+	return entries, r.next, wake
 }
 
 // Len reports how many entries the ring retains.

@@ -245,6 +245,45 @@ func TestRingPushFullAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRingSnapshotLeavesNoWakeChannel: one-off readers copy the ring
+// without creating a wake channel, so the next push closes nothing;
+// only a Since follower makes one.
+func TestRingSnapshotLeavesNoWakeChannel(t *testing.T) {
+	r := NewRing[int](4)
+	for i := 0; i < 6; i++ {
+		r.Push(i)
+	}
+	got := r.Snapshot()
+	if len(got) != 4 || got[0] != 2 || got[3] != 5 {
+		t.Fatalf("Snapshot = %v, want [2 3 4 5]", got)
+	}
+	if r.wake != nil {
+		t.Fatal("Snapshot created a wake channel")
+	}
+	if _, _, wake := r.Since(6); wake == nil || r.wake == nil {
+		t.Fatal("Since should hand out a wake channel")
+	}
+	if r.Dropped() != 0 {
+		t.Fatalf("Dropped = %d after fresh reads", r.Dropped())
+	}
+	if (*Ring[int])(nil).Snapshot() != nil {
+		t.Fatal("nil ring Snapshot should be nil")
+	}
+}
+
+// TestStreamSnapshotNumbersEvents: Stream.Snapshot fills in stream
+// sequence numbers like Since does.
+func TestStreamSnapshotNumbersEvents(t *testing.T) {
+	s := NewStream(NewVirtualClock())
+	for i := 0; i < StreamCapacity+3; i++ {
+		publishSpan(s, SpanEvent{DurNs: int64(i)})
+	}
+	evs := s.Snapshot()
+	if len(evs) != StreamCapacity || evs[0].Seq != 3 || evs[0].Span.DurNs != 3 {
+		t.Fatalf("Snapshot = %d events, first %+v", len(evs), evs[0])
+	}
+}
+
 // BenchmarkRingPushFull measures the steady-state publish cost of a full
 // stream-sized ring.
 func BenchmarkRingPushFull(b *testing.B) {

@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,7 +51,6 @@ import (
 	"copycat/internal/obs/flight"
 	"copycat/internal/resilience"
 	"copycat/internal/session"
-	"sync"
 )
 
 // Config wires the server to its data sources. Any field may be nil;

@@ -73,7 +73,9 @@ type Event struct {
 
 // StreamCapacity bounds the stream's ring: the most recent span ends,
 // decisions, and lifecycle events, shared by the live span feed and the
-// flight recorder's timeline.
+// flight recorder's timeline. It is sized for a session host's memory:
+// a host ring keeps evicted sessions' decisions alive, and 4096 raised
+// the host-churn benchmark's live heap by about a fifth.
 const StreamCapacity = 2048
 
 // Incidents is the flight recorder a stream feeds: it sees every
@@ -92,17 +94,18 @@ type hub struct {
 	incidents Incidents
 	// Host streams only: aggregate stage histograms ("host.latency.*")
 	// and the host-wide and per-tenant quality trackers.
-	stages  *Registry
-	quality *QualityTracker
-	tmu     sync.Mutex
-	tenants map[string]*QualityTracker
+	hostStages  *Registry
+	hostQuality *QualityTracker
+	tmu         sync.Mutex
+	tenants     map[string]*QualityTracker
 }
 
 // Stream is the one observability event path. Every pipeline signal —
 // span ends, decisions, stage completions, quality feedback, lifecycle
 // events — is one Publish. The stream stamps the event on its clock,
 // retains it in one ring, and dispatches it with a fixed switch to the
-// consumers it owns: the SLO tracker, on a host stream the aggregate
+// consumers it owns: a workspace's own quality tracker and stage
+// histograms (Bind), the SLO tracker, on a host stream the aggregate
 // stage histograms and the host and tenant quality trackers, and
 // finally the flight recorder's trigger rules. There is no subscriber
 // registry: /trace/stream and incident capture both read the ring.
@@ -111,9 +114,11 @@ type hub struct {
 // whole fleet and hands each hosted workspace a handle from For. A nil
 // *Stream is inert.
 type Stream struct {
-	*hub
+	*hub            // nil on a detached handle from (*Stream)(nil).Bind
 	session, tenant string
-	owner           bool // built by NewStream/NewHostStream, not For
+	owner           bool            // built by NewStream/NewHostStream, not For
+	quality         *QualityTracker // a workspace's own consumers (Bind)
+	stages          *Registry
 }
 
 // NewStream builds a stream on clock (nil means the wall clock).
@@ -129,20 +134,36 @@ func NewStream(clock Clock) *Stream {
 // survive session eviction.
 func NewHostStream(clock Clock, metrics *Registry) *Stream {
 	s := NewStream(clock)
-	s.stages = metrics
-	s.quality = NewQualityTracker()
+	s.hostStages = metrics
+	s.hostQuality = NewQualityTracker()
 	s.tenants = map[string]*QualityTracker{}
 	return s
 }
 
+// attached is false for nil and for a detached handle.
+func (s *Stream) attached() bool { return s != nil && s.hub != nil }
+
 // For returns a handle on s that attributes the events published
 // through it to session and tenant. It shares s's clock, ring, and
-// consumers.
+// consumers, but not the session consumers of a Bind handle.
 func (s *Stream) For(session, tenant string) *Stream {
-	if s == nil {
+	if !s.attached() {
 		return nil
 	}
 	return &Stream{hub: s.hub, session: session, tenant: tenant}
+}
+
+// Bind returns a copy of the handle s that also feeds a workspace's own
+// consumers: quality events into quality, stage completions into
+// stages as "latency.<stage>". On a nil s the copy is a detached handle
+// that feeds only those, so a workspace without a stream keeps its own
+// telemetry.
+func (s *Stream) Bind(quality *QualityTracker, stages *Registry) *Stream {
+	b := &Stream{quality: quality, stages: stages}
+	if s != nil {
+		b.hub, b.session, b.tenant, b.owner = s.hub, s.session, s.tenant, s.owner
+	}
+	return b
 }
 
 // Session reports the session this handle attributes events to ("" for
@@ -158,7 +179,7 @@ func (s *Stream) Session() string {
 // the stream's builder may: on a handle from For it is a no-op, so a
 // hosted workspace cannot move its host's clock.
 func (s *Stream) SetClock(c Clock) {
-	if s == nil || !s.owner {
+	if !s.attached() || !s.owner {
 		return
 	}
 	if c == nil {
@@ -167,9 +188,10 @@ func (s *Stream) SetClock(c Clock) {
 	s.clock.Store(&c)
 }
 
-// Clock returns the stream clock (the wall clock on a nil stream).
+// Clock returns the stream clock (the wall clock on a nil or detached
+// stream).
 func (s *Stream) Clock() Clock {
-	if s == nil {
+	if !s.attached() {
 		return SystemClock{}
 	}
 	return *s.clock.Load()
@@ -182,23 +204,35 @@ func (s *Stream) Now() time.Time { return s.Clock().Now() }
 // every event. flight.New calls it; it must run before the first
 // Publish.
 func (s *Stream) AttachIncidents(r Incidents) {
-	if s != nil {
+	if s.attached() {
 		s.incidents = r
 	}
 }
 
 // Incidents returns the attached flight recorder (nil if none).
 func (s *Stream) Incidents() Incidents {
-	if s == nil {
+	if !s.attached() {
 		return nil
 	}
 	return s.incidents
 }
 
-// Publish stamps ev on the stream clock, retains it if its kind is
-// retained, and dispatches it to the stream's consumers.
+// Publish feeds ev to a Bind handle's own consumers, stamps it on the
+// stream clock, retains it if its kind is retained, and dispatches it
+// to the stream's consumers.
 func (s *Stream) Publish(ev Event) {
 	if s == nil {
+		return
+	}
+	switch ev.Kind {
+	case KindStage:
+		if s.stages != nil {
+			s.stages.Histogram("latency." + ev.Name).Observe(ev.Dur)
+		}
+	case KindQuality:
+		s.quality.Observe(*ev.Quality)
+	}
+	if s.hub == nil {
 		return
 	}
 	now := s.Now()
@@ -216,11 +250,11 @@ func (s *Stream) Publish(ev Event) {
 		if ev.Name == SLOStage {
 			s.slo.Observe(now, ev.Dur)
 		}
-		if s.stages != nil {
-			s.stages.Histogram("host.latency." + ev.Name).Observe(ev.Dur)
+		if s.hostStages != nil {
+			s.hostStages.Histogram("host.latency." + ev.Name).Observe(ev.Dur)
 		}
 	case KindQuality:
-		s.quality.Observe(*ev.Quality)
+		s.hostQuality.Observe(*ev.Quality)
 		if s.tenants != nil {
 			s.tenantTracker(ev.Tenant).Observe(*ev.Quality)
 		}
@@ -242,14 +276,25 @@ func (s *Stream) tenantTracker(tenant string) *QualityTracker {
 	return t
 }
 
+// Snapshot returns every retained event, oldest first, with Seq filled
+// in.
+func (s *Stream) Snapshot() []Event {
+	events, _, _ := s.since(0, false)
+	return events
+}
+
 // Since returns the retained events with Seq >= cursor, oldest first,
 // the cursor to resume from, and a channel that closes on the next
 // retained event (Ring.Since on the stream's ring, with Seq filled in).
 func (s *Stream) Since(cursor int64) (events []Event, next int64, wake <-chan struct{}) {
-	if s == nil {
-		return (*Ring[Event])(nil).Since(cursor)
+	return s.since(cursor, true)
+}
+
+func (s *Stream) since(cursor int64, follow bool) (events []Event, next int64, wake <-chan struct{}) {
+	if !s.attached() {
+		return (*Ring[Event])(nil).since(cursor, follow)
 	}
-	events, next, wake = s.ring.Since(cursor)
+	events, next, wake = s.ring.since(cursor, follow)
 	first := next - int64(len(events))
 	for i := range events {
 		events[i].Seq = first + int64(i)
@@ -257,10 +302,11 @@ func (s *Stream) Since(cursor int64) (events []Event, next int64, wake <-chan st
 	return events, next, wake
 }
 
-// Dropped reports how many retained events lagging readers missed
-// (exported as spans.dropped).
+// Dropped reports how many retained events lagging Since readers
+// missed. It is exported as spans.dropped; the span feed is this
+// stream, so the count includes missed decisions and lifecycle events.
 func (s *Stream) Dropped() int64 {
-	if s == nil {
+	if !s.attached() {
 		return 0
 	}
 	return s.ring.Dropped()
@@ -269,7 +315,7 @@ func (s *Stream) Dropped() int64 {
 // SLO reports the latency objective's status as of now on the stream
 // clock.
 func (s *Stream) SLO() SLOStatus {
-	if s == nil {
+	if !s.attached() {
 		return SLOStatus{}
 	}
 	return s.slo.Status(s.Now())
@@ -277,16 +323,16 @@ func (s *Stream) SLO() SLOStatus {
 
 // Quality snapshots a host stream's host-wide quality tracker.
 func (s *Stream) Quality() QualityStats {
-	if s == nil {
+	if !s.attached() {
 		return (*QualityTracker)(nil).Snapshot()
 	}
-	return s.quality.Snapshot()
+	return s.hostQuality.Snapshot()
 }
 
 // TenantQuality snapshots a host stream's per-tenant quality trackers;
 // tenants that have produced no feedback yet are absent.
 func (s *Stream) TenantQuality() map[string]QualityStats {
-	if s == nil {
+	if !s.attached() {
 		return map[string]QualityStats{}
 	}
 	s.tmu.Lock()

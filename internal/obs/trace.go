@@ -161,7 +161,7 @@ func (t *Trace) record(s *Span, end time.Time) {
 	t.spans = append(t.spans, rec)
 	stream := t.stream
 	t.mu.Unlock()
-	if stream != nil {
+	if stream.attached() {
 		// Outside the lock: the stream takes its own and may wake
 		// /trace/stream followers.
 		stream.Publish(Event{Kind: KindSpan, Span: &SpanEvent{

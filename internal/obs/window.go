@@ -57,10 +57,13 @@ func (w *WindowHistogram) Window() time.Duration {
 
 // rotate advances the ring to the sub-window containing now, clearing
 // every slot that expired on the way. The first call allocates the
-// bucket arrays and anchors the ring at now. A clock that moved
-// backwards (e.g. a VirtualClock injected after the first observation,
-// whose epoch is 1970) resets the ring and re-anchors on the new
-// timeline. Callers hold w.mu.
+// bucket arrays and anchors the ring at now. Callers read the clock
+// before taking w.mu, so concurrent callers may arrive slightly out of
+// order: an instant earlier than the live sub-window but inside the
+// window counts in the live sub-window. Only a clock that jumped back
+// further than the whole window (e.g. a VirtualClock injected after the
+// first observation, whose epoch is 1970) resets the ring and
+// re-anchors on the new timeline. Callers hold w.mu.
 func (w *WindowHistogram) rotate(now time.Time) {
 	if w.slots[0].counts == nil {
 		counts := make([]int64, len(w.slots)*(len(w.bounds)+1))
@@ -70,7 +73,7 @@ func (w *WindowHistogram) rotate(now time.Time) {
 		w.headStart = now
 		return
 	}
-	if now.Before(w.headStart) {
+	if now.Before(w.headStart.Add(-w.Window())) {
 		for i := range w.slots {
 			w.slots[i].clear()
 		}

@@ -275,3 +275,47 @@ func TestWindowHistogramLargeClockJumps(t *testing.T) {
 		t.Fatalf("AboveThreshold after expiry = (%d, %d), want (0, 0)", above, total)
 	}
 }
+
+// TestWindowHistogramLateObservation covers callers that read the clock
+// before taking the lock: one that read its instant just before a slot
+// boundary may land after one that read just past it. The late sample
+// counts in the live sub-window; nothing already recorded is lost.
+func TestWindowHistogramLateObservation(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	w := NewWindowHistogram(DefaultLatencyBuckets(), time.Minute, 6)
+	slot := w.Window() / 6
+	w.Observe(t0, time.Millisecond)
+	w.Observe(t0.Add(slot), time.Millisecond)
+	w.Observe(t0.Add(slot-time.Nanosecond), time.Millisecond)
+	if got := w.Count(t0.Add(slot)); got != 3 {
+		t.Fatalf("count after a late observation = %d, want 3", got)
+	}
+	// A late read (e.g. a scrape) changes nothing either.
+	if got := w.Count(t0.Add(slot - time.Nanosecond)); got != 3 {
+		t.Fatalf("count read at a late instant = %d, want 3", got)
+	}
+}
+
+// TestSLOTrackerLateObservation: an out-of-order observation across a
+// fast-window slot boundary leaves the SLO status as if it had arrived
+// in order.
+func TestSLOTrackerLateObservation(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	slot := sloFastWindow / sloSlots
+	inOrder, late := NewSLOTracker(), NewSLOTracker()
+	for i := 0; i < 50; i++ {
+		inOrder.Observe(t0, 40*time.Millisecond)
+		late.Observe(t0, 40*time.Millisecond)
+	}
+	inOrder.Observe(t0.Add(slot-time.Nanosecond), time.Millisecond)
+	inOrder.Observe(t0.Add(slot), time.Millisecond)
+	late.Observe(t0.Add(slot), time.Millisecond)
+	late.Observe(t0.Add(slot-time.Nanosecond), time.Millisecond)
+	want := inOrder.Status(t0.Add(slot))
+	if got := late.Status(t0.Add(slot)); got != want {
+		t.Fatalf("status after a late observation = %+v, want %+v", got, want)
+	}
+	if want.FastCount != 52 || !want.FastAlert {
+		t.Fatalf("in-order status = %+v, want 52 samples and a fast alert", want)
+	}
+}

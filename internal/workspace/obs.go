@@ -33,19 +33,22 @@ func (w *Workspace) SetClock(c obs.Clock) {
 
 func (w *Workspace) now() time.Time { return w.Clock().Now() }
 
-// Stream returns the event stream the workspace publishes on (nil
-// before session.NewStandalone or a session host gave it one).
+// Stream returns the event stream the workspace publishes on, bound to
+// the workspace's quality tracker and stage histograms (see
+// obs.Stream.Bind). Before session.NewStandalone or a session host gave
+// it one, it is a detached handle that feeds only those.
 func (w *Workspace) Stream() *obs.Stream { return w.stream }
 
 // SetStream points every publisher of the workspace — its stages and
 // quality events, the decision log, the trace, the integration
 // learner's background refines, and the resilience layer's breakers —
 // at s. session.NewStandalone gives a workspace its own stream, a
-// session host a handle on the host's, and nil detaches publishing
-// entirely (the overhead experiment's control arm). Call between
+// session host a handle on the host's, and nil detaches publishing (the
+// overhead experiment's control arm): then only the workspace's own
+// quality tracker and stage histograms are still fed. Call between
 // refreshes, not during one.
 func (w *Workspace) SetStream(s *obs.Stream) {
-	w.stream = s
+	w.stream = s.Bind(w.Quality, w.Metrics)
 	w.Decisions.SetStream(s)
 	w.trace.SetStream(s)
 	w.Int.Stream = s
@@ -90,20 +93,18 @@ func (w *Workspace) Trace() *obs.Trace { return w.trace }
 func (w *Workspace) TraceTo(out io.Writer) error { return w.trace.WriteChrome(out) }
 
 // stage opens one top-level pipeline stage: a root span on the session
-// trace (when tracing is on) and a sample in the stage's latency
-// histogram. The returned done func ends both and publishes the stage
-// completion on the stream, whose consumers fold it into the SLO
-// windows and the flight recorder's trigger rules.
+// trace (when tracing is on). The returned done func ends it and
+// publishes the stage completion on the stream, whose consumers fold it
+// into the stage's latency histogram, the SLO windows, and the flight
+// recorder's trigger rules.
 func (w *Workspace) stage(name string) (*obs.Span, func()) {
 	sp := w.trace.Start(name, "stage")
 	if id := w.stream.Session(); id != "" {
 		sp.SetAttr("session", id)
 	}
-	h := w.Metrics.Histogram("latency." + name)
 	start := w.now()
 	return sp, func() {
 		d := w.now().Sub(start)
-		h.Observe(d)
 		w.stream.Publish(obs.Event{Kind: obs.KindStage, Name: name, Dur: d})
 		sp.End()
 	}

@@ -20,12 +20,11 @@ const (
 	opAcceptColumn = "accept." + obs.FeedbackColumns
 )
 
-// qualityEvent routes one suggestion-feedback observation to the
-// workspace tracker, the stream (a session host's folds it into its
-// host-wide and per-tenant trackers), and the decision log's "quality"
-// stage (the `:why quality` surface).
+// qualityEvent publishes one suggestion-feedback observation on the
+// stream, which folds it into the workspace tracker (and on a session
+// host into the host-wide and per-tenant trackers), then explains it in
+// the decision log's "quality" stage (the `:why quality` surface).
 func (w *Workspace) qualityEvent(ev obs.QualityEvent) {
-	w.Quality.Observe(ev)
 	w.stream.Publish(obs.Event{Kind: obs.KindQuality, Quality: &ev})
 	if w.Decisions == nil {
 		return

@@ -146,7 +146,8 @@ type Workspace struct {
 	Resilience *resilience.Caller
 	// Metrics is the unified metrics registry: per-stage latency
 	// histograms plus any gauges the session publishes. Always non-nil
-	// after New.
+	// after New; the stream handle feeds the stage histograms of the
+	// registry current at the last SetStream.
 	Metrics *obs.Registry
 	// Decisions logs why each candidate was pruned, degraded, suggested,
 	// outranked, accepted, or rejected (the :why surface). Always
@@ -154,8 +155,9 @@ type Workspace struct {
 	Decisions *obs.DecisionLog
 	// Quality accumulates live suggestion-quality telemetry (acceptance
 	// rate, rank-of-accepted histogram, rounds-to-accept) from every
-	// accept/reject/undo. Always non-nil after New; folded into
-	// MetricsSnapshot as the "quality.*" families.
+	// accept/reject/undo, fed by the stream handle bound at the last
+	// SetStream. Always non-nil after New; folded into MetricsSnapshot
+	// as the "quality.*" families.
 	Quality *obs.QualityTracker
 
 	// clock, when set, drives stage timing and span timestamps; nil
@@ -163,8 +165,9 @@ type Workspace struct {
 	clock obs.Clock
 	// stream is the event stream every publisher of this workspace
 	// feeds: its own (session.NewStandalone) or a handle on a session
-	// host's (Manager.wire). nil until one of them sets it, which leaves
-	// every publish a no-op. Managed by SetStream.
+	// host's (Manager.wire), bound to Quality and Metrics. Until one of
+	// them sets it, a detached handle feeds only those two. Managed by
+	// SetStream.
 	stream *obs.Stream
 	// trace is the active span tracer; nil (the default) disables
 	// tracing at ~zero cost. Managed by EnableTracing/DisableTracing.
@@ -225,6 +228,7 @@ func New(cat *catalog.Catalog, types *modellearn.Library) *Workspace {
 		demotions:      map[string]int{},
 	}
 	w.tabs = []*Tab{{Name: "Sheet1", Schema: table.Schema{}}}
+	w.SetStream(nil)
 	return w
 }
 
