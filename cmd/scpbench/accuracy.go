@@ -7,14 +7,14 @@ package main
 // recall, MRR / rank-of-correct — plus the paper's own axis, feedback
 // rounds to convergence. The corpus is replayed twice, warm and cold
 // (plan cache on/off), and the two runs must produce identical metrics:
-// the cache must never change what is suggested, only how fast.
-// `-bench-out BENCH_8.json` persists the report; `-baseline
-// BENCH_8.json` is the bench-check regression gate.
+// the cache must never change what is suggested, only how fast. The
+// corpus is deterministic, so the gates hold the grid and the scenario
+// set name for name, at least the baseline's converged count, and mean
+// MRR and recall within accuracyTolerance of the baseline.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 
 	"copycat/internal/scenario"
 )
@@ -26,13 +26,12 @@ const (
 	accuracyMaxRounds = 8
 )
 
-// accuracyReport is what -bench-out persists as BENCH_8.json.
+// accuracyReport is the result of the BENCH_8.json report.
 type accuracyReport struct {
-	Experiment string             `json:"experiment"`
-	Seed       int64              `json:"seed"`
-	K          int                `json:"k"`
-	MaxRounds  int                `json:"max_rounds"`
-	Scenarios  []scenario.Metrics `json:"scenarios"`
+	Seed      int64              `json:"seed"`
+	K         int                `json:"k"`
+	MaxRounds int                `json:"max_rounds"`
+	Scenarios []scenario.Metrics `json:"scenarios"`
 	// Rounds holds each scenario's per-round accuracy curve (round 0 =
 	// initial ranking, then one entry per feedback round), parallel to
 	// Scenarios. Additive: baselines written before this field existed
@@ -64,8 +63,7 @@ func scoreCorpus(cold bool) ([]scenario.Metrics, [][]scenario.RoundMetrics, erro
 	return out, rounds, nil
 }
 
-// expAccuracy scores the scenario corpus; honors
-// -json/-bench-out/-baseline.
+// expAccuracy scores the scenario corpus.
 func expAccuracy() error {
 	warm, warmRounds, err := scoreCorpus(false)
 	if err != nil {
@@ -81,32 +79,21 @@ func expAccuracy() error {
 		return fmt.Errorf("warm run scored %d scenarios, cold %d", len(warm), len(cold))
 	}
 	for i := range warm {
-		if warm[i] != cold[i] {
-			return fmt.Errorf("scenario %s: warm metrics %+v != cold metrics %+v",
-				warm[i].Scenario, warm[i], cold[i])
-		}
 		// The per-round curves must match too: the cache changing how
 		// fast feedback converges would be a correctness bug even if the
 		// endpoints agree.
-		if len(warmRounds[i]) != len(coldRounds[i]) {
-			return fmt.Errorf("scenario %s: warm run graded %d rounds, cold %d",
-				warm[i].Scenario, len(warmRounds[i]), len(coldRounds[i]))
-		}
-		for r := range warmRounds[i] {
-			if warmRounds[i][r] != coldRounds[i][r] {
-				return fmt.Errorf("scenario %s round %d: warm %+v != cold %+v",
-					warm[i].Scenario, r, warmRounds[i][r], coldRounds[i][r])
-			}
+		if warm[i] != cold[i] || !slices.Equal(warmRounds[i], coldRounds[i]) {
+			return fmt.Errorf("scenario %s: warm %+v %+v != cold %+v %+v",
+				warm[i].Scenario, warm[i], warmRounds[i], cold[i], coldRounds[i])
 		}
 	}
 
 	report := accuracyReport{
-		Experiment: "accuracy",
-		Seed:       accuracySeed,
-		K:          accuracyK,
-		MaxRounds:  accuracyMaxRounds,
-		Scenarios:  warm,
-		Rounds:     warmRounds,
+		Seed:      accuracySeed,
+		K:         accuracyK,
+		MaxRounds: accuracyMaxRounds,
+		Scenarios: warm,
+		Rounds:    warmRounds,
 	}
 	for _, m := range warm {
 		switch m.Kind {
@@ -169,23 +156,15 @@ func expAccuracy() error {
 	}
 	fmt.Println()
 
-	if baselineFile != "" {
-		if err := checkAccuracyBaseline(baselineFile, &report); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbenchmark report written to %s\n", benchOut)
-	}
-	jsonReport = report
-	return nil
+	return finish("accuracy", report, []gate{
+		{"scenario", "seed", sameAsBase, 0},
+		{"scenario", "k", sameAsBase, 0},
+		{"scenario", "max_rounds", sameAsBase, 0},
+		{"scenario", "scenarios.*.scenario", sameAsBase, 0},
+		{"mira", "converged", baseSlack, 0},
+		{"intlearn", "mean_mrr", baseSlack, accuracyTolerance},
+		{"intlearn", "mean_recall", baseSlack, accuracyTolerance},
+	})
 }
 
 // accuracyTolerance is the allowed slack on the mean MRR/recall gates:
@@ -193,48 +172,3 @@ func expAccuracy() error {
 // ranking changes shouldn't force a baseline bump for sub-tolerance
 // drift.
 const accuracyTolerance = 0.05
-
-// checkAccuracyBaseline is the bench-check gate for the accuracy
-// experiment. The corpus is deterministic, so the gate holds the
-// structural invariants: the scenario set must match the committed
-// report name for name, at least as many scenarios must converge, and
-// the mean MRR and recall must not regress beyond the tolerance.
-func checkAccuracyBaseline(path string, got *accuracyReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var base accuracyReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if got.Seed != base.Seed || got.K != base.K || got.MaxRounds != base.MaxRounds {
-		return fmt.Errorf("grid drift: measured seed=%d k=%d rounds=%d, baseline seed=%d k=%d rounds=%d",
-			got.Seed, got.K, got.MaxRounds, base.Seed, base.K, base.MaxRounds)
-	}
-	if len(got.Scenarios) != len(base.Scenarios) {
-		return fmt.Errorf("corpus drift: measured %d scenarios, baseline %d",
-			len(got.Scenarios), len(base.Scenarios))
-	}
-	for i := range base.Scenarios {
-		if got.Scenarios[i].Scenario != base.Scenarios[i].Scenario {
-			return fmt.Errorf("corpus drift at %d: measured %q, baseline %q",
-				i, got.Scenarios[i].Scenario, base.Scenarios[i].Scenario)
-		}
-	}
-	if got.Converged < base.Converged {
-		return fmt.Errorf("convergence regression: %d scenarios converged, baseline %d",
-			got.Converged, base.Converged)
-	}
-	if got.MeanMRR < base.MeanMRR-accuracyTolerance {
-		return fmt.Errorf("MRR regression: mean %.3f, baseline %.3f (tolerance %.2f)",
-			got.MeanMRR, base.MeanMRR, accuracyTolerance)
-	}
-	if got.MeanRecall < base.MeanRecall-accuracyTolerance {
-		return fmt.Errorf("recall regression: mean %.3f, baseline %.3f (tolerance %.2f)",
-			got.MeanRecall, base.MeanRecall, accuracyTolerance)
-	}
-	fmt.Printf("baseline check: %d/%d converged, mean mrr %.3f (baseline %.3f), mean recall %.3f (baseline %.3f)\n",
-		got.Converged, len(got.Scenarios), got.MeanMRR, base.MeanMRR, got.MeanRecall, base.MeanRecall)
-	return nil
-}

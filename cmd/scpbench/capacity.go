@@ -6,16 +6,16 @@ package main
 // As the fleet outgrows the budget the LRU evictor pushes idle sessions
 // to their snapshots and attaches transparently reload them, so the
 // curve shows where eviction churn starts to tax the p99 and whether
-// availability holds at the knee. `-bench-out BENCH_6.json` persists the
-// curve; `-baseline BENCH_6.json` is the bench-check regression gate.
+// availability holds at the knee. Wall-clock latency is too
+// machine-dependent to gate, so the gates hold the curve's structure:
+// the grid, availability ≥ 99% at every point, admission rejections at
+// every point, and eviction+reload churn at the knee (the largest
+// fleet).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,47 +54,10 @@ type capacityPoint struct {
 	ResidentB int64   `json:"resident_bytes"`     // estimated resident footprint
 }
 
-// capacityReport is what -bench-out persists as BENCH_6.json.
+// capacityReport is the result of the BENCH_6.json report.
 type capacityReport struct {
-	Experiment   string          `json:"experiment"`
 	MemoryBudget int64           `json:"memory_budget_bytes"`
 	Points       []capacityPoint `json:"points"`
-}
-
-// capacitySeed drives a freshly created session to integration mode so
-// refreshes have suggestions to produce and snapshots are non-trivial:
-// paste two shelters, accept the generalized rows, import the contacts
-// sheet, switch modes.
-func capacitySeed(sys *copycat.System) error {
-	w := sys.World
-	ws := sys.Workspace
-	browser := sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable))
-	s0, s1 := w.Shelters[0], w.Shelters[1]
-	sel, err := browser.CopyRows([][]string{
-		{s0.Name, s0.Street, s0.City},
-		{s1.Name, s1.Street, s1.City},
-	})
-	if err != nil {
-		return err
-	}
-	if err := ws.Paste(sel); err != nil {
-		return err
-	}
-	if err := ws.AcceptRows(); err != nil {
-		return err
-	}
-	sheetDoc := w.ContactsSpreadsheet()
-	grid := sheetDoc.Grid()
-	ws.SelectTab("Contacts")
-	if err := ws.Paste(copycat.Selection{Cells: grid[1:3], Doc: sheetDoc}); err != nil {
-		return err
-	}
-	if err := ws.AcceptRows(); err != nil {
-		return err
-	}
-	ws.SelectTab("Sheet1")
-	ws.SetMode(copycat.ModeIntegration)
-	return nil
 }
 
 // capacityRun measures one fleet size: build a host capped at exactly
@@ -111,7 +74,7 @@ func capacityRun(worldCfg copycat.WorldConfig, fleet int) (*capacityPoint, error
 		if err != nil {
 			return nil, fmt.Errorf("create %d: %w", i, err)
 		}
-		if err := capacitySeed(sys); err != nil {
+		if err := seed(sys); err != nil {
 			sys.Release()
 			return nil, fmt.Errorf("seed %d: %w", i, err)
 		}
@@ -173,22 +136,14 @@ func capacityRun(worldCfg copycat.WorldConfig, fleet int) (*capacityPoint, error
 		return nil, firstErr
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) int64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(latencies)-1))
-		return latencies[idx].Nanoseconds()
-	}
 	st := host.Manager.Stats()
 	pt := &capacityPoint{
 		Sessions:  fleet,
 		Workers:   capacityWorkers,
 		Attempts:  attempts,
 		Successes: successes,
-		P50Ns:     pct(0.50),
-		P99Ns:     pct(0.99),
+		P50Ns:     percentile(latencies, 0.50).Nanoseconds(),
+		P99Ns:     percentile(latencies, 0.99).Nanoseconds(),
 		Evictions: st.Evictions,
 		Reloads:   st.Reloads,
 		Rejected:  st.Rejected,
@@ -202,12 +157,12 @@ func capacityRun(worldCfg copycat.WorldConfig, fleet int) (*capacityPoint, error
 }
 
 // expCapacity runs the full fleet-size grid and renders the capacity
-// curve; honors -json/-bench-out/-baseline.
+// curve.
 func expCapacity() error {
 	worldCfg := copycat.DefaultWorldConfig()
 	worldCfg.Cities, worldCfg.SheltersPerCity = 3, 3
 
-	report := capacityReport{Experiment: "session-capacity", MemoryBudget: capacityBudget}
+	report := capacityReport{MemoryBudget: capacityBudget}
 	for _, fleet := range capacityFleets {
 		pt, err := capacityRun(worldCfg, fleet)
 		if err != nil {
@@ -231,63 +186,13 @@ func expCapacity() error {
 	}
 	printTable([]string{"sessions", "availability", "p50", "p99", "evictions", "reloads", "shed", "resident"}, rows)
 
-	if baselineFile != "" {
-		if err := checkCapacityBaseline(baselineFile, &report); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbenchmark report written to %s\n", benchOut)
-	}
-	jsonReport = report
-	return nil
-}
-
-// checkCapacityBaseline is the bench-check gate for the capacity curve.
-// Wall-clock latency is too machine-dependent to gate in CI, so the gate
-// holds the curve's structural invariants instead: the measured grid
-// must match the committed one, availability must stay ≥ 99% at every
-// point including the knee, and the over-budget points must actually
-// churn (evictions and transparent reloads observed).
-func checkCapacityBaseline(path string, got *capacityReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var base capacityReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if len(base.Points) != len(got.Points) {
-		return fmt.Errorf("baseline %s has %d points, measured %d", path, len(base.Points), len(got.Points))
-	}
-	var churn bool
-	for i, pt := range got.Points {
-		if pt.Sessions != base.Points[i].Sessions {
-			return fmt.Errorf("grid drift: point %d is %d sessions, baseline %d",
-				i, pt.Sessions, base.Points[i].Sessions)
-		}
-		if pt.Avail < 0.99 {
-			return fmt.Errorf("availability %.4f at %d sessions below the 99%% floor", pt.Avail, pt.Sessions)
-		}
-		if pt.Rejected == 0 {
-			return fmt.Errorf("no admission rejections at %d sessions: the cap is not enforced", pt.Sessions)
-		}
-		if pt.Evictions > 0 && pt.Reloads > 0 {
-			churn = true
-		}
-	}
-	if !churn {
-		return errors.New("no grid point showed eviction+reload churn: the budget no longer binds")
-	}
-	fmt.Printf("baseline check: availability ≥ 99%% across %d fleet sizes, churn observed at the knee\n",
-		len(got.Points))
-	return nil
+	knee := fmt.Sprintf("points.sessions=%d.", capacityFleets[len(capacityFleets)-1])
+	return finish("capacity", report, []gate{
+		{"session", "memory_budget_bytes", sameAsBase, 0},
+		{"session", "points.*.sessions", sameAsBase, 0},
+		{"session", "points.*.availability", atLeast, 0.99},
+		{"session", "points.*.admission_rejected", atLeast, 1},
+		{"session", knee + "evictions", atLeast, 1},
+		{"session", knee + "reloads", atLeast, 1},
+	})
 }

@@ -8,14 +8,13 @@ package main
 // compression ratio; and finally the host is checkpointed, dropped, and
 // a second host is rebuilt over the same directory — the crash-recovery
 // path — which must re-register every session and serve suggestions
-// from each one. `-bench-out BENCH_7.json` persists the report;
-// `-baseline BENCH_7.json` is the bench-check regression gate.
+// from each one. Wall-clock latencies are machine-dependent, so the
+// gates hold the structure: the grid, ≥ 2× on-disk compression on real
+// snapshots, and every session checkpointed and recovered.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"copycat"
@@ -28,9 +27,8 @@ const durabilitySessions = 8
 // makes.
 const durabilityCycles = 4
 
-// durabilityReport is what -bench-out persists as BENCH_7.json.
+// durabilityReport is the result of the BENCH_7.json report.
 type durabilityReport struct {
-	Experiment       string  `json:"experiment"`
 	Sessions         int     `json:"sessions"`
 	Cycles           int     `json:"cycles"`
 	EvictP50Ns       int64   `json:"evict_p50_ns"`
@@ -45,20 +43,7 @@ type durabilityReport struct {
 	RecoverNs        int64   `json:"recover_ns"`   // wall time to open the store and rebuild the manager
 }
 
-// durabilityPercentiles sorts and extracts p50/p99 from one latency set.
-func durabilityPercentiles(lat []time.Duration) (p50, p99 int64) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 {
-		return lat[int(p*float64(len(lat)-1))].Nanoseconds()
-	}
-	return pct(0.50), pct(0.99)
-}
-
-// expDurability measures the durable session tier; honors
-// -json/-bench-out/-baseline.
+// expDurability measures the durable session tier.
 func expDurability() error {
 	worldCfg := copycat.DefaultWorldConfig()
 	worldCfg.Cities, worldCfg.SheltersPerCity = 3, 3
@@ -76,21 +61,9 @@ func expDurability() error {
 	ids := make([]string, durabilitySessions)
 	suggestions := make([]int, durabilitySessions)
 	for i := range ids {
-		sys, err := host.Create(fmt.Sprintf("tenant%02d", i%4))
-		if err != nil {
-			return fmt.Errorf("create %d: %w", i, err)
+		if ids[i], suggestions[i], err = seedSession(host, fmt.Sprintf("tenant%02d", i%4)); err != nil {
+			return fmt.Errorf("session %d: %w", i, err)
 		}
-		if err := capacitySeed(sys); err != nil {
-			sys.Release()
-			return fmt.Errorf("seed %d: %w", i, err)
-		}
-		suggestions[i] = len(sys.Workspace.RefreshColumnSuggestions())
-		if suggestions[i] == 0 {
-			sys.Release()
-			return fmt.Errorf("session %d produced no suggestions", i)
-		}
-		ids[i] = sys.Session.ID()
-		sys.Release()
 	}
 
 	// Evict/reload cycles: every evict writes a compressed, checksummed
@@ -151,7 +124,6 @@ func expDurability() error {
 	}
 
 	report := durabilityReport{
-		Experiment:       "durability",
 		Sessions:         durabilitySessions,
 		Cycles:           durabilityCycles,
 		RawBytes:         storeStats.RawBytes,
@@ -160,9 +132,11 @@ func expDurability() error {
 		Checkpointed:     checkpointed,
 		Recovered:        st2.Recovered,
 		RecoverNs:        recoverNs,
+		EvictP50Ns:       percentile(evictLat, 0.50).Nanoseconds(),
+		EvictP99Ns:       percentile(evictLat, 0.99).Nanoseconds(),
+		ReloadP50Ns:      percentile(reloadLat, 0.50).Nanoseconds(),
+		ReloadP99Ns:      percentile(reloadLat, 0.99).Nanoseconds(),
 	}
-	report.EvictP50Ns, report.EvictP99Ns = durabilityPercentiles(evictLat)
-	report.ReloadP50Ns, report.ReloadP99Ns = durabilityPercentiles(reloadLat)
 
 	printTable([]string{"measure", "value"}, [][]string{
 		{"sessions × evict/reload cycles", fmt.Sprintf("%d × %d", report.Sessions, report.Cycles)},
@@ -175,53 +149,11 @@ func expDurability() error {
 		{"recovery time (open store + rebuild manager)", time.Duration(report.RecoverNs).String()},
 	})
 
-	if baselineFile != "" {
-		if err := checkDurabilityBaseline(baselineFile, &report); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbenchmark report written to %s\n", benchOut)
-	}
-	jsonReport = report
-	return nil
-}
-
-// checkDurabilityBaseline is the bench-check gate for the durability
-// experiment. Wall-clock latencies are machine-dependent, so the gate
-// holds the structural invariants: the grid must match the committed
-// report, the gzip framing must keep paying for itself (≥ 2× on real
-// snapshots), and the rebuilt host must recover the whole fleet.
-func checkDurabilityBaseline(path string, got *durabilityReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var base durabilityReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if got.Sessions != base.Sessions || got.Cycles != base.Cycles {
-		return fmt.Errorf("grid drift: measured %d×%d, baseline %d×%d",
-			got.Sessions, got.Cycles, base.Sessions, base.Cycles)
-	}
-	if got.CompressionRatio < 2 {
-		return fmt.Errorf("compression ratio %.2f below the 2× floor", got.CompressionRatio)
-	}
-	if got.Checkpointed != got.Sessions {
-		return fmt.Errorf("checkpoint wrote %d of %d sessions", got.Checkpointed, got.Sessions)
-	}
-	if got.Recovered != int64(got.Sessions) {
-		return fmt.Errorf("rebuilt host recovered %d of %d sessions", got.Recovered, got.Sessions)
-	}
-	fmt.Printf("baseline check: %d sessions recovered, %.1f× on-disk compression\n",
-		got.Recovered, got.CompressionRatio)
-	return nil
+	return finish("durability", report, []gate{
+		{"session", "sessions", sameAsBase, 0},
+		{"session", "cycles", sameAsBase, 0},
+		{"persist", "compression_ratio", atLeast, 2},
+		{"session", "checkpointed", atLeast, durabilitySessions},
+		{"session", "recovered", atLeast, durabilitySessions},
+	})
 }

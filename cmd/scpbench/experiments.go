@@ -192,17 +192,7 @@ func expAblationTypes() error {
 	w := webworld.Generate(webworld.DefaultConfig())
 	env := simuser.NewEnv(w, webworld.StyleTable)
 	// Import shelters and contacts so both relations are in the catalog.
-	s0, s1 := w.Shelters[0], w.Shelters[1]
-	sel, err := env.Brows.CopyRows([][]string{
-		{s0.Name, s0.Street, s0.City}, {s1.Name, s1.Street, s1.City},
-	})
-	if err != nil {
-		return err
-	}
-	if err := env.WS.Paste(sel); err != nil {
-		return err
-	}
-	if err := env.WS.AcceptRows(); err != nil {
+	if err := importShelters(env.WS, env.Brows, w); err != nil {
 		return err
 	}
 	env.WS.SetColumnType(0, modellearn.TypeOrgName)

@@ -33,20 +33,7 @@ func expFaults() error {
 		cfg.FaultRate = rate
 		cfg.FaultSeed = 7
 		sys := copycat.NewDemoSystem(cfg)
-		w := sys.World
-		browser := sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable))
-		s0, s1 := w.Shelters[0], w.Shelters[1]
-		sel, err := browser.CopyRows([][]string{
-			{s0.Name, s0.Street, s0.City},
-			{s1.Name, s1.Street, s1.City},
-		})
-		if err != nil {
-			return sample{}, err
-		}
-		if err := sys.Workspace.Paste(sel); err != nil {
-			return sample{}, err
-		}
-		if err := sys.Workspace.AcceptRows(); err != nil {
+		if err := importShelters(sys.Workspace, sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable)), sys.World); err != nil {
 			return sample{}, err
 		}
 		sys.Workspace.SetMode(copycat.ModeIntegration)

@@ -17,9 +17,8 @@ import (
 func expF1() error {
 	sys := copycat.NewDemoSystem(copycat.DefaultWorldConfig())
 	w := sys.World
-	browser := sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable))
 	s0, s1 := w.Shelters[0], w.Shelters[1]
-	sel, err := browser.CopyRows([][]string{
+	sel, err := sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable)).CopyRows([][]string{
 		{s0.Name, s0.Street, s0.City},
 		{s1.Name, s1.Street, s1.City},
 	})
@@ -58,19 +57,7 @@ func expF1() error {
 func expF2() error {
 	sys := copycat.NewDemoSystem(copycat.DefaultWorldConfig())
 	w := sys.World
-	browser := sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable))
-	s0, s1 := w.Shelters[0], w.Shelters[1]
-	sel, err := browser.CopyRows([][]string{
-		{s0.Name, s0.Street, s0.City},
-		{s1.Name, s1.Street, s1.City},
-	})
-	if err != nil {
-		return err
-	}
-	if err := sys.Workspace.Paste(sel); err != nil {
-		return err
-	}
-	if err := sys.Workspace.AcceptRows(); err != nil {
+	if err := importShelters(sys.Workspace, sys.OpenBrowser(sys.ShelterSite(copycat.StyleTable)), sys.World); err != nil {
 		return err
 	}
 	sys.Workspace.SetMode(copycat.ModeIntegration)
@@ -149,18 +136,7 @@ func expF4() error {
 	env := simuser.NewEnv(w, webworld.StyleTable)
 	ws := env.WS
 	// Import both sources so the graph has the Figure 4 shape.
-	s0, s1 := w.Shelters[0], w.Shelters[1]
-	sel, err := env.Brows.CopyRows([][]string{
-		{s0.Name, s0.Street, s0.City},
-		{s1.Name, s1.Street, s1.City},
-	})
-	if err != nil {
-		return err
-	}
-	if err := ws.Paste(sel); err != nil {
-		return err
-	}
-	if err := ws.AcceptRows(); err != nil {
+	if err := importShelters(ws, env.Brows, w); err != nil {
 		return err
 	}
 	ws.SetColumnType(0, "PR-OrgName")

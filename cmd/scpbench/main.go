@@ -46,32 +46,24 @@ var experiments = []experiment{
 	{"ablation-steiner", "A2: exact vs approximate Steiner inside the integration learner", expAblationSteiner},
 	{"matcher", "A3: approximate schema matcher on renamed, untyped columns (§4.1)", expMatcher},
 	{"faults", "R1: suggestion availability and latency vs injected service fault rate", expFaults},
-	{"pipeline", "O1: observability — per-stage suggestion latency, tracing overhead, Chrome trace export", expPipeline},
-	{"serve", "O2: telemetry serving — /metrics scrape cost and serving overhead vs unserved baseline", expServe},
+	{"overhead", "O1: observability overhead — traced, recorded and served arms vs plain on the cold refresh loop (ABBA), per-stage latency, Chrome trace export", expOverhead},
+	{"refresh", "P1: incremental refresh — warm (plan-cached) vs cold loop work counts, allocs, speedup, and warm ≡ cold", expRefresh},
 	{"capacity", "C1: multi-tenant capacity — sessions vs p99/availability under a fixed memory budget with LRU eviction", expCapacity},
 	{"durability", "D1: durable session store — evict/reload cost, on-disk compression ratio, crash recovery of the whole fleet", expDurability},
 	{"accuracy", "Q1: suggestion-quality accuracy over the scenario corpus — precision@k, recall, MRR, feedback rounds to convergence", expAccuracy},
 	{"scale", "S1: scale-out suggestion serving — first-answer p50/p99, allocs/op and SPCSH-vs-exact agreement on 1x/10x/100x worlds", expScale},
-	{"flight", "O3: flight recorder — always-on incident capture overhead vs a detached recorder on the cold refresh loop", expFlight},
 }
 
-// statsMode mirrors the -stats flag: experiments that drive a workspace
-// print the executor instrumentation block when it is set.
-var statsMode bool
-
-// Observability flags consumed by the pipeline experiment.
+// Flags read by the experiments and by finish.
 var (
-	traceFile      string  // -trace: Chrome trace_event JSON destination
-	benchOut       string  // -bench-out: machine-readable benchmark report
-	overheadBudget float64 // -overhead-budget: fail if tracing costs more than this fraction
-	jsonMode       bool    // -json: emit the final report as JSON on stdout
-	warmMode       bool    // -warm: time the incremental (plan-cached) refresh loop
-	coldMode       bool    // -cold: time the recompute-everything refresh loop
-	baselineFile   string  // -baseline: fail if warm p99 regresses >10% vs this report
-	scaleGridFlag  string  // -scale-grid: world sizes the scale experiment sweeps
+	traceFile     string       // -trace: Chrome trace_event JSON destination
+	benchOut      string       // -bench-out: the experiment's report
+	statsMode     bool         // -stats: workspace-driven experiments print executor stats
+	baselineFile  string       // -baseline: committed report the gates are enforced against
+	scaleGridFlag = "1,10,100" // -scale-grid: world sizes the scale experiment sweeps
 
-	// jsonReport collects whatever the last experiment wants to expose
-	// under -json; marshaled to the real stdout after all experiments ran.
+	// jsonReport is the last report finish produced; marshaled to the
+	// real stdout under -json after all experiments ran.
 	jsonReport any
 )
 
@@ -87,15 +79,12 @@ func printStats(snap copycat.ExecStats) {
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
-	stats := flag.Bool("stats", false, "print per-operator executor stats (rows in/out, service calls, cache hits, trees pruned) after workspace-driven experiments")
-	flag.StringVar(&traceFile, "trace", "", "write a Chrome trace_event JSON of the pipeline experiment to this file")
-	flag.StringVar(&benchOut, "bench-out", "", "write the pipeline experiment's machine-readable report (JSON) to this file")
-	flag.Float64Var(&overheadBudget, "overhead-budget", 0, "fail the pipeline experiment if tracing overhead exceeds this fraction (e.g. 0.10); 0 disables")
-	flag.BoolVar(&jsonMode, "json", false, "emit the final report as JSON on stdout (tables go to stderr)")
-	flag.BoolVar(&warmMode, "warm", false, "pipeline: time the warm (incremental, plan-cached) refresh loop")
-	flag.BoolVar(&coldMode, "cold", false, "pipeline: time the cold (recompute-everything) refresh loop")
-	flag.StringVar(&baselineFile, "baseline", "", "pipeline: fail if the warm refresh p99 regresses >10% against this committed report (JSON)")
-	flag.StringVar(&scaleGridFlag, "scale-grid", scaleDefaultGrid, "scale: comma-separated world-size multipliers to sweep (CI uses the reduced 1,10 grid)")
+	flag.BoolVar(&statsMode, "stats", false, "print per-operator executor stats (rows in/out, service calls, cache hits, trees pruned) after workspace-driven experiments")
+	flag.StringVar(&traceFile, "trace", "", "overhead: write a Chrome trace_event JSON of one traced pipeline pass to this file")
+	flag.StringVar(&benchOut, "bench-out", "", "write the experiment's report (JSON: env, gate verdicts, result) to this file")
+	jsonMode := flag.Bool("json", false, "emit the final report as JSON on stdout (tables go to stderr)")
+	flag.StringVar(&baselineFile, "baseline", "", "enforce the experiment's gates against this committed report (JSON); a failing gate fails the run")
+	flag.StringVar(&scaleGridFlag, "scale-grid", scaleGridFlag, "scale: comma-separated world-size multipliers to sweep (CI uses the reduced 1,10 grid)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	serveAddr := flag.String("serve", "", "drive a traced demo session and serve its live telemetry on this address (e.g. 127.0.0.1:9464) instead of running experiments")
@@ -106,18 +95,19 @@ func main() {
 	incidentDir := flag.String("incident-dir", "", "with -serve: persist flight-recorder incident bundles to this directory (bounded; oldest pruned)")
 	analyzeBundle := flag.String("analyze-incident", "", "render the post-mortem timeline of an on-disk incident bundle (JSON) and exit")
 	flag.Parse()
-	statsMode = *stats
+	die := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "scpbench: "+format+"\n", args...)
+		os.Exit(1)
+	}
 	if *analyzeBundle != "" {
 		if err := analyzeIncident(*analyzeBundle); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: -analyze-incident: %v\n", err)
-			os.Exit(1)
+			die("-analyze-incident: %v", err)
 		}
 		return
 	}
 	if *serveAddr != "" {
 		if err := runTelemetryServer(*serveAddr, *serveWait, *serveSessions, *storeDir, *serveFaults, *incidentDir); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: -serve: %v\n", err)
-			os.Exit(1)
+			die("-serve: %v", err)
 		}
 		return
 	}
@@ -131,67 +121,60 @@ func main() {
 	// Under -json the human-readable tables move to stderr so stdout
 	// carries exactly one machine-readable JSON document.
 	realOut := os.Stdout
-	if jsonMode {
+	if *jsonMode {
 		os.Stdout = os.Stderr
 	}
-
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
-		defer pprof.StopCPUProfile()
 	}
 	want := map[string]bool{}
 	for _, n := range strings.Split(*exp, ",") {
 		want[strings.TrimSpace(n)] = true
 	}
 	ran := 0
+	var failed error
 	for _, e := range experiments {
 		if !want["all"] && !want[e.name] {
 			continue
 		}
 		fmt.Printf("\n================ %s ================\n%s\n\n", e.name, e.desc)
-		if err := e.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %s: %v\n", e.name, err)
-			os.Exit(1)
-		}
 		ran++
+		if err := e.run(); err != nil {
+			failed = fmt.Errorf("%s: %w", e.name, err)
+			break
+		}
 	}
+	pprof.StopCPUProfile()
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "scpbench: no experiment matched %q (use -list)\n", *exp)
-		os.Exit(1)
+		die("no experiment matched %q (use -list)", *exp)
 	}
-
 	if *memprofile != "" {
 		pf, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(pf); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 		pf.Close()
 	}
-
-	if jsonMode {
-		if jsonReport == nil {
-			jsonReport = map[string]string{"error": "no experiment produced a JSON report (run -exp pipeline)"}
-		}
+	// A failing experiment still emits the report its gates wrote.
+	if *jsonMode && jsonReport != nil {
 		enc := json.NewEncoder(realOut)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(jsonReport); err != nil {
-			fmt.Fprintf(os.Stderr, "scpbench: %v\n", err)
-			os.Exit(1)
+			die("%v", err)
 		}
+	}
+	if failed != nil {
+		die("%v", failed)
 	}
 }
 

@@ -1,47 +1,65 @@
 package main
 
-// The incremental-refresh experiment (P1 in EXPERIMENTS.md): the pipeline
-// scenario's steady-state paste/feedback loop timed twice — warm, with the
-// plan result cache serving unchanged candidates, and cold, with the cache
-// disabled so every refresh recomputes the whole learn→search→execute→rank
-// loop. Selected by the -warm/-cold flags on `-exp pipeline`; with both
-// flags the report carries the reuse fraction, the wall-time speedup, and
-// a warm≡cold equivalence verdict from twin sessions driven in lockstep.
+// The incremental-refresh experiment (P1 in EXPERIMENTS.md): the
+// pipeline scenario's steady-state paste/feedback loop timed twice —
+// warm, with the plan result cache serving unchanged candidates, and
+// cold, with the cache disabled so every refresh recomputes the whole
+// learn→search→execute→rank loop — after twin warm and cold sessions
+// driven in lockstep have produced identical suggestion lists. The
+// gates hold what reproduces across machines: the work counts, the
+// allocations per refresh, warm≡cold, and the within-run speedup.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"runtime"
 	"strings"
 	"time"
 
 	"copycat"
 )
 
-// refreshModeReport is one mode's numbers over the timed reps.
+// A refresh workload is pipelineRefreshes suggestion refreshes with
+// feedback; each mode times refreshReps of them after one untimed
+// warmup workload.
+const (
+	pipelineRefreshes = 30
+	refreshReps       = 5
+)
+
+// refreshSpeedupFloor is the least cold/warm wall-time ratio the plan
+// cache must buy within one run. Ten runs on a 2-CPU Xeon measured
+// 75–196×; the floor sits well under that minimum.
+const refreshSpeedupFloor = 30
+
+// refreshAllocsBudget is the allowed growth of warm allocations per
+// refresh over the committed baseline.
+const refreshAllocsBudget = 1.10
+
+// refreshModeReport is one mode's numbers over its timed window.
 type refreshModeReport struct {
-	WallNs           int64 `json:"wall_ns"`           // best-of-reps workload wall time
-	CandidatesRun    int64 `json:"candidates_run"`    // candidate plans actually executed
-	PlansReused      int64 `json:"plans_reused"`      // candidates served from the plan cache
-	PlansInvalidated int64 `json:"plans_invalidated"` // cached candidates forced to re-run
-	RefreshP99Ns     int64 `json:"refresh_p99_ns"`    // latency.suggest.refresh p99 (session)
+	WallNs           int64   `json:"wall_ns"`            // best-of-reps workload wall time
+	CandidatesRun    int64   `json:"candidates_run"`     // candidate plans actually executed
+	PlansReused      int64   `json:"plans_reused"`       // candidates served from the plan cache
+	PlansInvalidated int64   `json:"plans_invalidated"`  // cached candidates forced to re-run
+	RefreshP99Ns     int64   `json:"refresh_p99_ns"`     // exact p99 over the timed refreshes
+	AllocsPerRefresh float64 `json:"allocs_per_refresh"` // heap allocations per refresh with its feedback
 }
 
-// refreshReport is what -bench-out persists as BENCH_4.json.
+// refreshReport is the result of the BENCH_4.json report.
 type refreshReport struct {
-	Experiment string             `json:"experiment"`
-	Refreshes  int                `json:"refreshes"`
-	Reps       int                `json:"reps"`
-	Warm       *refreshModeReport `json:"warm,omitempty"`
-	Cold       *refreshModeReport `json:"cold,omitempty"`
+	Refreshes int               `json:"refreshes"`
+	Reps      int               `json:"reps"`
+	Warm      refreshModeReport `json:"warm"`
+	Cold      refreshModeReport `json:"cold"`
 	// ReuseFrac is warm plans_reused / (plans_reused + candidates_run):
 	// the fraction of candidate plans the warm loop did not execute.
-	ReuseFrac float64 `json:"reuse_frac,omitempty"`
+	ReuseFrac float64 `json:"reuse_frac"`
 	// Speedup is cold wall time / warm wall time.
-	Speedup float64 `json:"speedup,omitempty"`
+	Speedup float64 `json:"speedup"`
 	// Equivalent reports whether warm and cold twin sessions produced
-	// byte-identical suggestion lists across the whole workload.
+	// byte-identical suggestion lists over Lockstep refreshes.
 	Equivalent bool `json:"equivalent"`
+	Lockstep   int  `json:"lockstep_refreshes"`
 }
 
 // refreshFeedback applies the workload's steady-state feedback: alternate
@@ -57,54 +75,60 @@ func refreshFeedback(sys *copycat.System, comps []copycat.Completion, i int) {
 	sys.Workspace.Int.AcceptCompletion(comps[j], comps[k:k+1])
 }
 
-// refreshWorkload runs `refreshes` suggestion refreshes with feedback.
-func refreshWorkload(sys *copycat.System, refreshes int) error {
-	for i := 0; i < refreshes; i++ {
+// refreshWorkload runs pipelineRefreshes suggestion refreshes with
+// feedback, appending each refresh's latency to lat.
+func refreshWorkload(sys *copycat.System, lat []time.Duration) ([]time.Duration, error) {
+	for i := 0; i < pipelineRefreshes; i++ {
+		start := time.Now()
 		comps := sys.Workspace.RefreshColumnSuggestions()
+		lat = append(lat, time.Since(start))
 		if len(comps) == 0 {
-			return fmt.Errorf("refresh %d returned no completions", i)
+			return nil, fmt.Errorf("refresh %d returned no completions", i)
 		}
 		refreshFeedback(sys, comps, i)
 	}
-	return nil
+	return lat, nil
 }
 
 // refreshRun sets up the pipeline scenario, runs one warmup workload to
 // settle the caches and the feedback oscillation, then times
-// pipelineReps repetitions and returns the mode's counters.
-func refreshRun(warm bool) (*refreshModeReport, error) {
-	sys, err := pipelineSetup(false)
+// refreshReps repetitions.
+func refreshRun(warm bool) (refreshModeReport, error) {
+	var rep refreshModeReport
+	sys, err := pipelineSetup(copycat.DefaultWorldConfig(), false)
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
 	if !warm {
 		sys.Workspace.PlanCache = nil // cold: recompute everything, every refresh
 	}
-	if err := refreshWorkload(sys, pipelineRefreshes); err != nil {
-		return nil, err
+	if _, err := refreshWorkload(sys, nil); err != nil {
+		return rep, err
 	}
 	before := sys.Stats()
+	var msBefore, msAfter runtime.MemStats
+	runtime.ReadMemStats(&msBefore)
+	var lat []time.Duration
 	best := time.Duration(0)
-	for r := 0; r < pipelineReps; r++ {
+	for r := 0; r < refreshReps; r++ {
 		start := time.Now()
-		if err := refreshWorkload(sys, pipelineRefreshes); err != nil {
-			return nil, err
+		if lat, err = refreshWorkload(sys, lat); err != nil {
+			return rep, err
 		}
 		if d := time.Since(start); best == 0 || d < best {
 			best = d
 		}
 	}
+	runtime.ReadMemStats(&msAfter)
 	after := sys.Stats()
-	rep := &refreshModeReport{
+	return refreshModeReport{
 		WallNs:           best.Nanoseconds(),
 		CandidatesRun:    after.CandidatesRun - before.CandidatesRun,
 		PlansReused:      after.PlansReused - before.PlansReused,
 		PlansInvalidated: after.PlansInvalidated - before.PlansInvalidated,
-	}
-	if h, ok := sys.Metrics().Histograms["latency.suggest.refresh"]; ok {
-		rep.RefreshP99Ns = h.P99Ns
-	}
-	return rep, nil
+		RefreshP99Ns:     percentile(lat, 0.99).Nanoseconds(),
+		AllocsPerRefresh: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(len(lat)),
+	}, nil
 }
 
 // completionsDigest canonically renders a suggestion list — edge, target,
@@ -126,14 +150,14 @@ func completionsDigest(comps []copycat.Completion) string {
 
 // refreshEquivalence drives a warm and a cold twin session through the
 // identical workload, comparing the full suggestion list after every
-// refresh. Any divergence fails the experiment — the cache must be
-// invisible in the output.
+// refresh. Any divergence is an error — the cache must be invisible in
+// the output.
 func refreshEquivalence(refreshes int) error {
-	warm, err := pipelineSetup(false)
+	warm, err := pipelineSetup(copycat.DefaultWorldConfig(), false)
 	if err != nil {
 		return err
 	}
-	cold, err := pipelineSetup(false)
+	cold, err := pipelineSetup(copycat.DefaultWorldConfig(), false)
 	if err != nil {
 		return err
 	}
@@ -141,8 +165,7 @@ func refreshEquivalence(refreshes int) error {
 	for i := 0; i < refreshes; i++ {
 		wc := warm.Workspace.RefreshColumnSuggestions()
 		cc := cold.Workspace.RefreshColumnSuggestions()
-		wd, cd := completionsDigest(wc), completionsDigest(cc)
-		if wd != cd {
+		if wd, cd := completionsDigest(wc), completionsDigest(cc); wd != cd {
 			return fmt.Errorf("warm/cold divergence at refresh %d:\nwarm:\n%s\ncold:\n%s", i, wd, cd)
 		}
 		refreshFeedback(warm, wc, i)
@@ -151,103 +174,60 @@ func refreshEquivalence(refreshes int) error {
 	return nil
 }
 
-// expRefresh is the -warm/-cold entry point.
 func expRefresh() error {
-	report := refreshReport{
-		Experiment: "pipeline-refresh",
-		Refreshes:  pipelineRefreshes,
-		Reps:       pipelineReps,
-	}
-	if warmMode && coldMode {
-		if err := refreshEquivalence(2 * pipelineRefreshes); err != nil {
-			return err
-		}
-		report.Equivalent = true
-		fmt.Printf("warm ≡ cold: %d lockstep refreshes produced identical suggestion lists\n\n", 2*pipelineRefreshes)
-	}
+	report := refreshReport{Refreshes: pipelineRefreshes, Reps: refreshReps, Lockstep: 2 * pipelineRefreshes}
+	divergence := refreshEquivalence(report.Lockstep)
+	report.Equivalent = divergence == nil
 	var err error
-	if coldMode {
-		if report.Cold, err = refreshRun(false); err != nil {
-			return err
-		}
+	if report.Cold, err = refreshRun(false); err != nil {
+		return err
 	}
-	if warmMode {
-		if report.Warm, err = refreshRun(true); err != nil {
-			return err
-		}
+	if report.Warm, err = refreshRun(true); err != nil {
+		return err
 	}
-	if report.Warm != nil {
-		if total := report.Warm.PlansReused + report.Warm.CandidatesRun; total > 0 {
-			report.ReuseFrac = float64(report.Warm.PlansReused) / float64(total)
-		}
+	if total := report.Warm.PlansReused + report.Warm.CandidatesRun; total > 0 {
+		report.ReuseFrac = float64(report.Warm.PlansReused) / float64(total)
 	}
-	if report.Warm != nil && report.Cold != nil && report.Warm.WallNs > 0 {
-		report.Speedup = float64(report.Cold.WallNs) / float64(report.Warm.WallNs)
-	}
+	report.Speedup = float64(report.Cold.WallNs) / float64(report.Warm.WallNs)
 
-	var rows [][]string
-	addMode := func(name string, m *refreshModeReport) {
-		if m == nil {
-			return
-		}
+	rows := [][]string{{"refreshes per rep", fmt.Sprint(pipelineRefreshes)}}
+	for _, m := range []struct {
+		name string
+		r    refreshModeReport
+	}{{"cold", report.Cold}, {"warm", report.Warm}} {
 		rows = append(rows,
-			[]string{name + " wall (best of reps)", time.Duration(m.WallNs).String()},
-			[]string{name + " candidates executed", fmt.Sprint(m.CandidatesRun)},
-			[]string{name + " plans reused", fmt.Sprint(m.PlansReused)},
-			[]string{name + " plans invalidated", fmt.Sprint(m.PlansInvalidated)},
-			[]string{name + " refresh p99", time.Duration(m.RefreshP99Ns).String()},
+			[]string{m.name + " wall (best of reps)", time.Duration(m.r.WallNs).String()},
+			[]string{m.name + " candidates executed", fmt.Sprint(m.r.CandidatesRun)},
+			[]string{m.name + " plans reused", fmt.Sprint(m.r.PlansReused)},
+			[]string{m.name + " plans invalidated", fmt.Sprint(m.r.PlansInvalidated)},
+			[]string{m.name + " refresh p99 (exact)", time.Duration(m.r.RefreshP99Ns).String()},
+			[]string{m.name + " allocs per refresh", fmt.Sprintf("%.0f", m.r.AllocsPerRefresh)},
 		)
 	}
-	rows = append(rows, []string{"refreshes per rep", fmt.Sprint(pipelineRefreshes)})
-	addMode("cold", report.Cold)
-	addMode("warm", report.Warm)
-	if report.ReuseFrac > 0 {
-		rows = append(rows, []string{"reuse fraction", fmt.Sprintf("%.3f", report.ReuseFrac)})
-	}
-	if report.Speedup > 0 {
-		rows = append(rows, []string{"speedup (cold/warm)", fmt.Sprintf("%.2fx", report.Speedup)})
-	}
+	rows = append(rows,
+		[]string{"reuse fraction", fmt.Sprintf("%.3f", report.ReuseFrac)},
+		[]string{"speedup (cold/warm)", fmt.Sprintf("%.2fx", report.Speedup)},
+		[]string{"warm ≡ cold", fmt.Sprintf("%v over %d lockstep refreshes", report.Equivalent, report.Lockstep)},
+	)
 	printTable([]string{"measure", "value"}, rows)
 
-	if baselineFile != "" && report.Warm != nil {
-		if err := checkRefreshBaseline(baselineFile, report.Warm.RefreshP99Ns); err != nil {
-			return err
-		}
+	gates := []gate{
+		{"workspace", "refreshes", sameAsBase, 0},
+		{"workspace", "reps", sameAsBase, 0},
+		{"plancache", "equivalent", sameAsBase, 0},
+		{"plancache", "lockstep_refreshes", sameAsBase, 0},
+		{"plancache", "speedup", atLeast, refreshSpeedupFloor},
+		{"runtime", "warm.allocs_per_refresh", maxRatio, refreshAllocsBudget},
 	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbenchmark report written to %s\n", benchOut)
+	for _, mode := range []string{"warm", "cold"} {
+		gates = append(gates,
+			gate{"engine", mode + ".candidates_run", sameAsBase, 0},
+			gate{"plancache", mode + ".plans_reused", sameAsBase, 0},
+			gate{"plancache", mode + ".plans_invalidated", sameAsBase, 0},
+		)
 	}
-	jsonReport = report
-	return nil
-}
-
-// checkRefreshBaseline fails if the measured warm-refresh p99 regressed
-// more than 10% against the committed baseline report.
-func checkRefreshBaseline(path string, p99Ns int64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+	if err := finish("refresh", report, gates); err != nil {
+		return err
 	}
-	var base refreshReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.Warm == nil || base.Warm.RefreshP99Ns <= 0 {
-		return fmt.Errorf("baseline %s has no warm refresh p99", path)
-	}
-	limit := base.Warm.RefreshP99Ns + base.Warm.RefreshP99Ns/10
-	if p99Ns > limit {
-		return fmt.Errorf("warm refresh p99 %s regressed >10%% against baseline %s (limit %s)",
-			time.Duration(p99Ns), time.Duration(base.Warm.RefreshP99Ns), time.Duration(limit))
-	}
-	fmt.Printf("baseline check: warm p99 %s within 10%% of committed %s\n",
-		time.Duration(p99Ns), time.Duration(base.Warm.RefreshP99Ns))
-	return nil
+	return divergence
 }

@@ -9,27 +9,23 @@ package main
 // raising the inline-exact thresholds). Recorded per arm: first-answer
 // p50/p99, allocs/op and bytes/op on the suggest path, and the
 // SPCSH-vs-exact top-1 agreement (the inline heuristic answer compared
-// to the refined exact ranking it is later re-ranked by). `-bench-out
-// BENCH_9.json` persists the report; `-baseline BENCH_9.json` is the
-// bench-check gate; `-scale-grid 1,10` runs the reduced CI grid.
+// to the refined exact ranking it is later re-ranked by).
+// `-scale-grid 1,10` runs the reduced CI grid; the gates cover the
+// scales measured.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"copycat/internal/catalog"
 	"copycat/internal/engine"
 	"copycat/internal/intlearn"
 	"copycat/internal/plancache"
-	"copycat/internal/sourcegraph"
-	"copycat/internal/table"
+	"copycat/internal/scenario"
 	"copycat/internal/webworld"
 )
 
@@ -76,53 +72,22 @@ type scaleRow struct {
 	SpeedupP99 float64 `json:"speedup_p99"`
 }
 
-// scaleReport is what -bench-out persists as BENCH_9.json.
+// scaleReport is the result of the BENCH_9.json report.
 type scaleReport struct {
-	Experiment string     `json:"experiment"`
-	Seed       int64      `json:"seed"`
-	K          int        `json:"k"`
-	Grid       []int      `json:"grid"`
-	Rows       []scaleRow `json:"rows"`
+	Seed int64      `json:"seed"`
+	K    int        `json:"k"`
+	Grid []int      `json:"grid"`
+	Rows []scaleRow `json:"rows"`
 }
 
 // scaleWorldGraph generates the scaled world and loads every stitching
-// chain into a catalog + source graph: fresh chain hops at cost 0.6, the
-// stale shortcut at 0.45 a hop — the same shape the scale scenario and
-// the 1x SmartInt scenarios use.
+// chain into a catalog and source graph, the shape the scale scenario
+// and the 1x SmartInt scenarios use.
 func scaleWorldGraph(scale int) (*intlearn.Learner, []string, int, int) {
 	cfg := webworld.ScaledConfig(scale)
 	cfg.Seed = scaleSeed
 	w := webworld.Generate(cfg)
-
-	cat := catalog.New()
-	g := sourcegraph.New(cat)
-	edges := 0
-	for _, ch := range w.Chains {
-		for _, rel := range ch.Rels {
-			r := table.NewRelation(rel.Name, table.NewSchema(rel.Cols...))
-			for _, row := range rel.Rows {
-				r.MustAppend(table.FromStrings(row))
-			}
-			cat.AddRelation(r, "fragment")
-		}
-		d := table.NewRelation(ch.Decoy.Name, table.NewSchema(ch.Decoy.Cols...))
-		for _, row := range ch.Decoy.Rows {
-			d.MustAppend(table.FromStrings(row))
-		}
-		cat.AddRelation(d, "stale-mirror")
-		for i := 0; i+1 < len(ch.Rels); i++ {
-			key := ch.Rels[i].Cols[len(ch.Rels[i].Cols)-1]
-			g.AddEdge(sourcegraph.Edge{From: ch.Rels[i].Name, To: ch.Rels[i+1].Name,
-				Kind: sourcegraph.KindJoin, FromCols: []string{key}, ToCols: []string{key}, Cost: 0.6})
-			edges++
-		}
-		first, last := ch.Rels[0], ch.Rels[len(ch.Rels)-1]
-		g.AddEdge(sourcegraph.Edge{From: first.Name, To: ch.Decoy.Name,
-			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[0]}, ToCols: []string{ch.Decoy.Cols[0]}, Cost: 0.45})
-		g.AddEdge(sourcegraph.Edge{From: ch.Decoy.Name, To: last.Name,
-			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[1]}, ToCols: []string{ch.Decoy.Cols[1]}, Cost: 0.45})
-		edges += 2
-	}
+	cat, g := scenario.LoadChains(w.Chains)
 
 	// Terminals: every fragment of the first chain plus its stale mirror —
 	// a 7-terminal stitch (the pasted values are visible in the decoy
@@ -133,7 +98,7 @@ func scaleWorldGraph(scale int) (*intlearn.Learner, []string, int, int) {
 		terminals = append(terminals, rel.Name)
 	}
 	terminals = append(terminals, w.Chains[0].Decoy.Name)
-	return intlearn.New(g), terminals, len(cat.All()), edges
+	return intlearn.New(g), terminals, len(cat.All()), g.Len()
 }
 
 func top1Name(qs []*intlearn.Query) string {
@@ -143,58 +108,54 @@ func top1Name(qs []*intlearn.Query) string {
 	return strings.Join(qs[0].Nodes, "+")
 }
 
-func nsPercentile(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
-// timeSolves runs iters fresh-cache top-query searches on the learner,
-// returning per-call latency samples, per-op allocation deltas, and the
-// inline top-1 names. When refine is set (the tiered arm), each sample
-// joins the background refinement after the timed window and collects
-// the refined top-1 for the agreement tally.
-func timeSolves(lrn *intlearn.Learner, terminals []string, iters int, refine bool) (lat []int64, allocs, bytes uint64, inline, refined []string, err error) {
+// timeSolves runs iters fresh-cache top-query searches on the learner
+// and returns their first-answer latency and allocations. When refine
+// is set (the tiered arm), each sample joins the background refinement
+// after the timed window, and agreement is the fraction of samples
+// whose inline top-1 named the refined top-1.
+func timeSolves(lrn *intlearn.Learner, terminals []string, iters int, refine bool) (arm scaleArm, agreement float64, err error) {
 	// Warmup solve outside the timed window: the first call on a fresh
 	// learner pays the one-time compact-graph (CSR) index build, which is
 	// amortized state in steady serving, not first-answer latency.
 	ec0 := engine.NewExecCtx(context.Background(), engine.WithPlanCache(plancache.New(8)))
-	if _, e := lrn.TopQueriesCtx(ec0, terminals, scaleK); e != nil {
-		return nil, 0, 0, nil, nil, e
+	if _, err := lrn.TopQueriesCtx(ec0, terminals, scaleK); err != nil {
+		return arm, 0, err
 	}
 	lrn.WaitRefines()
 
+	var lat []int64
 	var msBefore, msAfter runtime.MemStats
+	agree := 0
 	for i := 0; i < iters; i++ {
 		// A fresh plan cache per sample: every timed call is a cold memo
 		// (the steady-state cache-hit path is measured by P1 instead).
 		ec := engine.NewExecCtx(context.Background(), engine.WithPlanCache(plancache.New(8)))
 		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		qs, e := lrn.TopQueriesCtx(ec, terminals, scaleK)
+		qs, err := lrn.TopQueriesCtx(ec, terminals, scaleK)
 		d := time.Since(start)
 		runtime.ReadMemStats(&msAfter)
-		if e != nil {
-			return nil, 0, 0, nil, nil, e
+		if err != nil {
+			return arm, 0, err
 		}
 		lat = append(lat, d.Nanoseconds())
-		allocs += msAfter.Mallocs - msBefore.Mallocs
-		bytes += msAfter.TotalAlloc - msBefore.TotalAlloc
-		inline = append(inline, top1Name(qs))
+		arm.AllocsPerOp += msAfter.Mallocs - msBefore.Mallocs
+		arm.BytesPerOp += msAfter.TotalAlloc - msBefore.TotalAlloc
 		if refine {
 			lrn.WaitRefines()
-			rq, e := lrn.TopQueriesCtx(ec, terminals, scaleK)
-			if e != nil {
-				return nil, 0, 0, nil, nil, e
+			rq, err := lrn.TopQueriesCtx(ec, terminals, scaleK)
+			if err != nil {
+				return arm, 0, err
 			}
-			refined = append(refined, top1Name(rq))
+			if top1Name(rq) == top1Name(qs) {
+				agree++
+			}
 		}
 	}
-	return lat, allocs / uint64(iters), bytes / uint64(iters), inline, refined, nil
+	arm.P50Ns, arm.P99Ns = percentile(lat, 0.50), percentile(lat, 0.99)
+	arm.AllocsPerOp /= uint64(iters)
+	arm.BytesPerOp /= uint64(iters)
+	return arm, float64(agree) / float64(iters), nil
 }
 
 // expScale runs the grid and prints/persists the report.
@@ -203,7 +164,7 @@ func expScale() error {
 	if err != nil {
 		return err
 	}
-	report := scaleReport{Experiment: "scale", Seed: scaleSeed, K: scaleK, Grid: grid}
+	report := scaleReport{Seed: scaleSeed, K: scaleK, Grid: grid}
 
 	for _, scale := range grid {
 		iters := scaleIters(scale)
@@ -212,38 +173,18 @@ func expScale() error {
 		// inline-exact node bound, so every call answers from SPCSH and
 		// refines in the background.
 		lrn, terminals, nodes, edges := scaleWorldGraph(scale)
-		lat, allocs, bytes, inline, refined, err := timeSolves(lrn, terminals, iters, true)
-		if err != nil {
+		row := scaleRow{Scale: scale, Sources: nodes, Edges: edges, Terminals: len(terminals), Iters: iters}
+		if row.Tiered, row.Agreement, err = timeSolves(lrn, terminals, iters, true); err != nil {
 			return fmt.Errorf("scale %dx tiered: %w", scale, err)
 		}
-		row := scaleRow{
-			Scale: scale, Sources: nodes, Edges: edges,
-			Terminals: len(terminals), Iters: iters,
-			Tiered: scaleArm{
-				P50Ns: nsPercentile(lat, 0.50), P99Ns: nsPercentile(lat, 0.99),
-				AllocsPerOp: allocs, BytesPerOp: bytes,
-			},
-		}
-		agree := 0
-		for i := range inline {
-			if inline[i] == refined[i] {
-				agree++
-			}
-		}
-		row.Agreement = float64(agree) / float64(len(inline))
 
 		// Exact-only arm: force the inline exact solver (the pre-tiering
 		// behavior) by lifting the tier thresholds.
 		exact, terminals2, _, _ := scaleWorldGraph(scale)
 		exact.MaxExactNodes = 1 << 30
 		exact.TierTerminals = 1 << 30
-		lat2, allocs2, bytes2, _, _, err := timeSolves(exact, terminals2, iters, false)
-		if err != nil {
+		if row.Exact, _, err = timeSolves(exact, terminals2, iters, false); err != nil {
 			return fmt.Errorf("scale %dx exact: %w", scale, err)
-		}
-		row.Exact = scaleArm{
-			P50Ns: nsPercentile(lat2, 0.50), P99Ns: nsPercentile(lat2, 0.99),
-			AllocsPerOp: allocs2, BytesPerOp: bytes2,
 		}
 		if row.Tiered.P99Ns > 0 {
 			row.SpeedupP99 = float64(row.Exact.P99Ns) / float64(row.Tiered.P99Ns)
@@ -264,33 +205,26 @@ func expScale() error {
 	printTable([]string{"scale", "sources", "edges", "tiered p50", "tiered p99",
 		"exact p50", "exact p99", "tiered allocs", "exact allocs", "agree", "speedup"}, rows)
 
-	if baselineFile != "" {
-		if err := checkScaleBaseline(baselineFile, &report); err != nil {
-			return err
+	gates := []gate{
+		{"intlearn", "seed", sameAsBase, 0},
+		{"intlearn", "k", sameAsBase, 0},
+	}
+	for _, scale := range grid {
+		row := fmt.Sprintf("rows.scale=%d.", scale)
+		gates = append(gates,
+			gate{"sourcegraph", row + "sources", sameAsBase, 0},
+			gate{"sourcegraph", row + "terminals", sameAsBase, 0},
+			gate{"intlearn", row + "tiered.p99_ns", maxRatio, scaleP99Budget},
+			gate{"intlearn", row + "agreement", baseSlack, 1e-9},
+		)
+		if floor := scaleSpeedupFloor(scale); floor > 0 {
+			gates = append(gates, gate{"steiner", row + "speedup_p99", atLeast, floor})
 		}
 	}
-	if benchOut != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbenchmark report written to %s\n", benchOut)
-	}
-	jsonReport = report
-	return nil
+	return finish("scale", report, gates)
 }
 
-// scaleDefaultGrid is the full sweep; also used when the experiment is
-// driven without flag parsing (the harness test).
-const scaleDefaultGrid = "1,10,100"
-
 func parseScaleGrid(s string) ([]int, error) {
-	if s == "" {
-		s = scaleDefaultGrid
-	}
 	var grid []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
@@ -321,54 +255,4 @@ func scaleSpeedupFloor(scale int) float64 {
 	default:
 		return 0
 	}
-}
-
-// checkScaleBaseline is the bench-check gate for the scale experiment:
-// every measured scale must exist in the baseline, tiered first-answer
-// p99 must stay within the regression budget of the committed number,
-// agreement must not drop, and — machine-independent, within this run —
-// the tiered answer must beat exact-only by the per-scale speedup floor
-// (≥10x on the 100x world, the headline acceptance number).
-func checkScaleBaseline(path string, got *scaleReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var base scaleReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if got.Seed != base.Seed || got.K != base.K {
-		return fmt.Errorf("grid drift: measured seed=%d k=%d, baseline seed=%d k=%d",
-			got.Seed, got.K, base.Seed, base.K)
-	}
-	baseRows := map[int]scaleRow{}
-	for _, r := range base.Rows {
-		baseRows[r.Scale] = r
-	}
-	for _, r := range got.Rows {
-		b, ok := baseRows[r.Scale]
-		if !ok {
-			return fmt.Errorf("scale %dx not in baseline %s", r.Scale, path)
-		}
-		if r.Sources != b.Sources || r.Terminals != b.Terminals {
-			return fmt.Errorf("scale %dx world drift: measured %d sources/%d terminals, baseline %d/%d",
-				r.Scale, r.Sources, r.Terminals, b.Sources, b.Terminals)
-		}
-		if limit := float64(b.Tiered.P99Ns) * scaleP99Budget; float64(r.Tiered.P99Ns) > limit {
-			return fmt.Errorf("scale %dx: tiered p99 %s regressed beyond budget (baseline %s × %.1f)",
-				r.Scale, time.Duration(r.Tiered.P99Ns), time.Duration(b.Tiered.P99Ns), scaleP99Budget)
-		}
-		if r.Agreement+1e-9 < b.Agreement {
-			return fmt.Errorf("scale %dx: SPCSH/exact agreement %.2f below baseline %.2f",
-				r.Scale, r.Agreement, b.Agreement)
-		}
-		if want := scaleSpeedupFloor(r.Scale); r.SpeedupP99 < want {
-			return fmt.Errorf("scale %dx: tiered first answer only %.1fx faster than exact-only (need ≥%.0fx)",
-				r.Scale, r.SpeedupP99, want)
-		}
-		fmt.Printf("baseline check: %dx tiered p99 %s (baseline %s), agreement %.2f, speedup %.1fx\n",
-			r.Scale, time.Duration(r.Tiered.P99Ns), time.Duration(b.Tiered.P99Ns), r.Agreement, r.SpeedupP99)
-	}
-	return nil
 }

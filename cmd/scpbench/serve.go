@@ -3,202 +3,14 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"copycat"
 	"copycat/internal/obs/flight"
-	"copycat/internal/obs/serve"
 )
-
-// scrapeCount is how many sequential /metrics scrapes the scrape-cost
-// measurement averages over.
-const scrapeCount = 100
-
-// scrapeInterval paces the concurrent scraper during the overhead
-// measurement: one scrape every 50ms is already 20–300× more
-// aggressive than a production Prometheus (1–15s per scrape), so the
-// overhead measured under it is a safe upper bound — while flat-out
-// scraping with no pacing would just measure CPU contention between
-// the encoder and the candidate executor, which no deployment sees.
-const scrapeInterval = 50 * time.Millisecond
-
-// serveReps is how many interleaved idle/scraped cold-refresh loop
-// pairs the overhead comparison totals over.
-const serveReps = 10
-
-// serveReport is the machine-readable result of the telemetry-serving
-// experiment (O2).
-type serveReport struct {
-	Experiment        string  `json:"experiment"`
-	Refreshes         int     `json:"refreshes"`
-	Reps              int     `json:"reps"`
-	PlainNs           int64   `json:"plain_ns"`           // total idle-phase loop time (server attached, unscraped)
-	ServedNs          int64   `json:"served_ns"`          // total scraped-phase loop time
-	OverheadFrac      float64 `json:"overhead_frac"`      // (served-plain)/plain over the interleaved totals
-	ConcurrentScrapes int64   `json:"concurrent_scrapes"` // scrapes issued during the served loops
-	ScrapeMeanNs      int64   `json:"scrape_mean_ns"`     // sequential scrape cost
-	ScrapeMaxNs       int64   `json:"scrape_max_ns"`
-	ScrapeBytes       int     `json:"scrape_bytes"` // /metrics body size
-	Series            int     `json:"series"`       // sample lines in the body
-}
-
-// expServe is the telemetry-serving experiment: on one warmed session
-// with a live telemetry server attached, it compares the suggestion
-// refresh loop with the server idle against the same loop while
-// /metrics is scraped back-to-back, then measures the per-scrape cost
-// directly and lints the body. Honors -json and -overhead-budget.
-func expServe() error {
-	sys, err := pipelineSetup(true) // traced, so /trace/stream has data
-	if err != nil {
-		return err
-	}
-	// Cold refreshes: with the plan cache on, the warm loop is
-	// sub-millisecond and run-to-run scheduler noise swamps any serving
-	// cost. Recomputing every refresh gives the comparison a measurement
-	// window long enough for scrapes to actually land inside it.
-	sys.Workspace.PlanCache = nil
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := sys.Serve(ctx, "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	base := "http://" + srv.Addr()
-	if _, err := pipelineLoop(sys); err != nil { // warmup: fill the service cache
-		return err
-	}
-	// Warm the HTTP path too (listener accept, keep-alive connection),
-	// so neither phase pays one-time dial costs.
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	// Concurrent scraper: scrapes /metrics on its cadence whenever the
-	// `scraping` gate is open.
-	var scraping atomic.Bool
-	var scrapes atomic.Int64
-	stop := make(chan struct{})
-	scraperDone := make(chan struct{})
-	go func() {
-		defer close(scraperDone)
-		tick := time.NewTicker(scrapeInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if !scraping.Load() {
-					continue
-				}
-				resp, err := http.Get(base + "/metrics")
-				if err != nil {
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				scrapes.Add(1)
-			}
-		}
-	}()
-
-	// Interleave idle and scraped loops rep by rep, so heap growth, GC
-	// cadence, and thermal drift hit both phases equally instead of
-	// whichever ran second; compare the phase totals rather than
-	// best-of, because a single cold loop's duration swings with GC far
-	// more than serving ever costs.
-	var plain, served time.Duration
-	for r := 0; r < serveReps; r++ {
-		d, err := pipelineLoop(sys)
-		if err != nil {
-			return err
-		}
-		plain += d
-		scraping.Store(true)
-		d, err = pipelineLoop(sys)
-		scraping.Store(false)
-		if err != nil {
-			return err
-		}
-		served += d
-	}
-	close(stop)
-	<-scraperDone
-
-	// Sequential scrape cost: mean and max over scrapeCount full scrapes,
-	// with the last body linted and sized.
-	var total, max time.Duration
-	var body []byte
-	for i := 0; i < scrapeCount; i++ {
-		start := time.Now()
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		body, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		d := time.Since(start)
-		total += d
-		if d > max {
-			max = d
-		}
-	}
-	if err := serve.Lint(strings.NewReader(string(body))); err != nil {
-		return fmt.Errorf("/metrics body fails exposition lint: %w", err)
-	}
-	series := 0
-	for _, line := range strings.Split(string(body), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			series++
-		}
-	}
-
-	report := serveReport{
-		Experiment:        "serve",
-		Refreshes:         pipelineRefreshes,
-		Reps:              serveReps,
-		PlainNs:           plain.Nanoseconds(),
-		ServedNs:          served.Nanoseconds(),
-		OverheadFrac:      float64(served-plain) / float64(plain),
-		ConcurrentScrapes: scrapes.Load(),
-		ScrapeMeanNs:      (total / scrapeCount).Nanoseconds(),
-		ScrapeMaxNs:       max.Nanoseconds(),
-		ScrapeBytes:       len(body),
-		Series:            series,
-	}
-
-	printTable([]string{"measure", "value"}, [][]string{
-		{"suggestion refreshes timed", fmt.Sprint(pipelineRefreshes)},
-		{"idle-server loops (total, interleaved)", plain.String()},
-		{"scraped loops (total, interleaved)", served.String()},
-		{"serving overhead", fmt.Sprintf("%.1f%%", 100*report.OverheadFrac)},
-		{"concurrent scrapes during loops", fmt.Sprint(report.ConcurrentScrapes)},
-		{"scrape cost (mean / max)", fmt.Sprintf("%s / %s", time.Duration(report.ScrapeMeanNs), max)},
-		{"/metrics body", fmt.Sprintf("%d bytes, %d series", report.ScrapeBytes, report.Series)},
-	})
-	jsonReport = report
-
-	if overheadBudget > 0 && report.OverheadFrac > overheadBudget {
-		return fmt.Errorf("serving overhead %.1f%% exceeds budget %.1f%%",
-			100*report.OverheadFrac, 100*overheadBudget)
-	}
-	return nil
-}
 
 // runTelemetryServer implements the -serve flag: it drives a traced
 // demo session through the full pipeline so every surface has data,
@@ -260,16 +72,7 @@ func runTelemetryServer(addr string, wait time.Duration, hostSessions int, store
 			fmt.Fprintf(os.Stderr, "scpbench: recovered %d sessions from %s\n", recovered, storeDir)
 		} else {
 			for _, tenant := range []string{"alice", "bob"} {
-				sys, err := host.Create(tenant)
-				if err != nil {
-					return err
-				}
-				err = capacitySeed(sys)
-				if err == nil && len(sys.Workspace.RefreshColumnSuggestions()) == 0 {
-					err = fmt.Errorf("seed session for %s produced no completions", tenant)
-				}
-				sys.Release()
-				if err != nil {
+				if _, _, err := seedSession(host, tenant); err != nil {
 					return err
 				}
 			}
@@ -285,7 +88,7 @@ func runTelemetryServer(addr string, wait time.Duration, hostSessions int, store
 			cfg.FaultRate = faults
 			cfg.FaultSeed = 7
 		}
-		sys, err := pipelineSetupWith(cfg, true)
+		sys, err := pipelineSetup(cfg, true)
 		if err != nil {
 			return err
 		}
@@ -343,4 +146,16 @@ func runTelemetryServer(addr string, wait time.Duration, hostSessions int, store
 		checkpoint()
 	}
 	return err
+}
+
+// analyzeIncident implements -analyze-incident: load one on-disk
+// incident bundle and print its post-mortem timeline — the same
+// rendering the REPL's `:incidents <id>` produces from a live recorder.
+func analyzeIncident(path string) error {
+	inc, err := copycat.ReadIncidentBundle(path)
+	if err != nil {
+		return err
+	}
+	fmt.Print(copycat.RenderIncident(inc))
+	return nil
 }

@@ -103,18 +103,24 @@ func (l *Learner) Update(c Constraint) bool {
 	for _, f := range c.Preferred {
 		phi[f]--
 	}
+	// Sum in sorted feature order: floating-point addition is not
+	// associative, and map order would make the last bits of dot and
+	// newDot — and with them the loss and clamp checks — vary by run.
+	feats := make([]string, 0, len(phi))
 	for f, v := range phi {
-		if v == 0 {
-			delete(phi, f)
+		if v != 0 {
+			feats = append(feats, f)
 		}
 	}
-	if len(phi) == 0 {
+	if len(feats) == 0 {
 		return false // identical queries cannot be separated
 	}
+	sort.Strings(feats)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	dot, norm := 0.0, 0.0
-	for f, v := range phi {
+	for _, f := range feats {
+		v := phi[f]
 		w, ok := l.weights[f]
 		if !ok {
 			w = l.def
@@ -132,7 +138,8 @@ func (l *Learner) Update(c Constraint) bool {
 	}
 	clamped := false
 	newDot := 0.0
-	for f, v := range phi {
+	for _, f := range feats {
+		v := phi[f]
 		w, ok := l.weights[f]
 		if !ok {
 			w = l.def

@@ -1,6 +1,7 @@
 package mira
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -230,5 +231,28 @@ func TestUpdateBatchConvergesOnFloorBoundConstraint(t *testing.T) {
 	l2.UpdateBatch(cs2, 1000)
 	if l2.Violated(cs2[0]) {
 		t.Error("satisfiable constraint should end satisfied")
+	}
+}
+
+// TestUpdateIsDeterministic pins the summation order: with weights whose
+// float sum depends on the order it is taken in, every fresh learner
+// must land on bit-identical weights.
+func TestUpdateIsDeterministic(t *testing.T) {
+	run := func() map[string]float64 {
+		l := New(1.0)
+		l.SetWeight("big", 1e16)
+		l.SetWeight("one", 1)
+		l.SetWeight("neg", -1e16)
+		l.Update(Constraint{Preferred: []string{"p"}, Other: []string{"big", "one", "neg"}})
+		return l.Snapshot()
+	}
+	want := run()
+	for i := 0; i < 100; i++ {
+		got := run()
+		for f, w := range want {
+			if math.Float64bits(got[f]) != math.Float64bits(w) {
+				t.Fatalf("learner %d: weight %s = %v, first learner %v", i, f, got[f], w)
+			}
+		}
 	}
 }

@@ -96,22 +96,6 @@ func (t *QualityTracker) Observe(ev QualityEvent) {
 	}
 }
 
-// Accept records an accepted suggestion at the given rank after the
-// given number of suggestion refreshes since the previous accept.
-func (t *QualityTracker) Accept(kind string, rank, rounds int) {
-	t.Observe(QualityEvent{Kind: kind, Accepted: true, Rank: rank, Rounds: rounds})
-}
-
-// Reject records a rejected suggestion.
-func (t *QualityTracker) Reject(kind string) {
-	t.Observe(QualityEvent{Kind: kind, Rank: -1})
-}
-
-// UndoAccept records that a previously accepted suggestion was undone.
-func (t *QualityTracker) UndoAccept(kind string) {
-	t.Observe(QualityEvent{Kind: kind, Undo: true, Rank: -1})
-}
-
 // QualityStats is a point-in-time, JSON-serializable copy of a tracker
 // — the /quality endpoint's payload and the persisted form that carries
 // a session's quality counters across evict/reload.

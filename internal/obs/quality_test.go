@@ -7,12 +7,12 @@ import (
 
 func TestQualityTrackerSnapshot(t *testing.T) {
 	q := NewQualityTracker()
-	q.Accept(FeedbackColumns, 0, 2)
-	q.Accept(FeedbackQueries, 1, 0) // rounds unknown: not in the rounds mean
-	q.Accept(FeedbackRows, 5, 1)    // deep rank lands in the overflow bucket
-	q.Reject(FeedbackColumns)
-	q.Reject(FeedbackTuples)
-	q.UndoAccept(FeedbackColumns)
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Accepted: true, Rank: 0, Rounds: 2})
+	q.Observe(QualityEvent{Kind: FeedbackQueries, Accepted: true, Rank: 1, Rounds: 0}) // rounds unknown: not in the rounds mean
+	q.Observe(QualityEvent{Kind: FeedbackRows, Accepted: true, Rank: 5, Rounds: 1})    // deep rank lands in the overflow bucket
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Rank: -1})
+	q.Observe(QualityEvent{Kind: FeedbackTuples, Rank: -1})
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Undo: true, Rank: -1})
 	q.Observe(QualityEvent{Kind: "bogus", Accepted: true}) // unknown kind dropped
 
 	st := q.Snapshot()
@@ -45,10 +45,10 @@ func TestQualityTrackerSnapshot(t *testing.T) {
 // session's quality counters stay continuous across evict/reload.
 func TestQualityTrackerRestoreRoundTrip(t *testing.T) {
 	q := NewQualityTracker()
-	q.Accept(FeedbackColumns, 2, 3)
-	q.Accept(FeedbackRows, 0, 1)
-	q.Reject(FeedbackQueries)
-	q.UndoAccept(FeedbackRows)
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Accepted: true, Rank: 2, Rounds: 3})
+	q.Observe(QualityEvent{Kind: FeedbackRows, Accepted: true, Rank: 0, Rounds: 1})
+	q.Observe(QualityEvent{Kind: FeedbackQueries, Rank: -1})
+	q.Observe(QualityEvent{Kind: FeedbackRows, Undo: true, Rank: -1})
 	before := q.Snapshot()
 
 	q2 := NewQualityTracker()
@@ -61,7 +61,7 @@ func TestQualityTrackerRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restore diverged:\nbefore %+v\nafter  %+v", before, after)
 	}
 	// Restored counters keep accumulating correctly.
-	q2.Accept(FeedbackColumns, 0, 1)
+	q2.Observe(QualityEvent{Kind: FeedbackColumns, Accepted: true, Rank: 0, Rounds: 1})
 	if st := q2.Snapshot(); st.TotalAccepts != before.TotalAccepts+1 {
 		t.Errorf("accumulation after restore: %d, want %d", st.TotalAccepts, before.TotalAccepts+1)
 	}
@@ -69,7 +69,7 @@ func TestQualityTrackerRestoreRoundTrip(t *testing.T) {
 
 func TestQualityTrackerNilSafe(t *testing.T) {
 	var q *QualityTracker
-	q.Accept(FeedbackColumns, 0, 0) // must not panic
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Accepted: true, Rank: 0, Rounds: 0}) // must not panic
 	q.Restore(QualityStats{})
 	st := q.Snapshot()
 	if st.TotalAccepts != 0 || st.Accepts == nil || len(st.AcceptedRank) != QualityRankBuckets {
@@ -79,9 +79,9 @@ func TestQualityTrackerNilSafe(t *testing.T) {
 
 func TestQualityFold(t *testing.T) {
 	q := NewQualityTracker()
-	q.Accept(FeedbackColumns, 0, 1)
-	q.Accept(FeedbackQueries, 2, 2)
-	q.Reject(FeedbackColumns)
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Accepted: true, Rank: 0, Rounds: 1})
+	q.Observe(QualityEvent{Kind: FeedbackQueries, Accepted: true, Rank: 2, Rounds: 2})
+	q.Observe(QualityEvent{Kind: FeedbackColumns, Rank: -1})
 	snap := NewRegistry().Snapshot()
 	q.Snapshot().Fold(snap)
 	for name, want := range map[string]int64{

@@ -70,6 +70,7 @@ func (r *Ring[T]) Snapshot() []T {
 // next-len(entries)+i. A reader whose cursor fell behind the ring
 // resumes at the oldest retained entry and the entries it missed are
 // counted in Dropped; cursor 0 is a fresh reader, never a lagging one.
+// A nil ring returns a nil wake channel: nothing will ever arrive.
 func (r *Ring[T]) Since(cursor int64) (entries []T, next int64, wake <-chan struct{}) {
 	return r.since(cursor, true)
 }
@@ -78,9 +79,7 @@ func (r *Ring[T]) Since(cursor int64) (entries []T, next int64, wake <-chan stru
 // channel) for a one-off reader.
 func (r *Ring[T]) since(cursor int64, follow bool) (entries []T, next int64, wake <-chan struct{}) {
 	if r == nil {
-		closed := make(chan struct{})
-		close(closed)
-		return nil, 0, closed
+		return nil, 0, nil // nothing is, or ever will be, retained
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -74,10 +74,8 @@ func TestSpanRingNil(t *testing.T) {
 	if len(events) != 0 || next != 0 || r.Dropped() != 0 {
 		t.Fatal("nil stream should read as empty")
 	}
-	select {
-	case <-wait: // nil ring's wait channel is pre-closed: no hang
-	default:
-		t.Fatal("nil ring wait channel should be closed")
+	if wait != nil { // nothing can ever arrive, so there is nothing to wait on
+		t.Fatal("nil ring should return no wait channel")
 	}
 }
 

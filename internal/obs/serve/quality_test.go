@@ -12,20 +12,20 @@ import (
 // sampleQuality fabricates a tracker with activity on several surfaces.
 func sampleQuality() *obs.QualityTracker {
 	q := obs.NewQualityTracker()
-	q.Accept(obs.FeedbackColumns, 0, 1)
-	q.Accept(obs.FeedbackColumns, 2, 3)
-	q.Accept(obs.FeedbackRows, 0, 0)
-	q.Reject(obs.FeedbackQueries)
-	q.Reject(obs.FeedbackColumns)
-	q.UndoAccept(obs.FeedbackColumns)
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Accepted: true, Rank: 0, Rounds: 1})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Accepted: true, Rank: 2, Rounds: 3})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackRows, Accepted: true, Rank: 0, Rounds: 0})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackQueries, Rank: -1})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Rank: -1})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Undo: true, Rank: -1})
 	return q
 }
 
 func sampleQualityReport() QualityReport {
 	q := sampleQuality()
 	tenant := obs.NewQualityTracker()
-	tenant.Accept(obs.FeedbackQueries, 1, 2)
-	tenant.Reject(obs.FeedbackQueries)
+	tenant.Observe(obs.QualityEvent{Kind: obs.FeedbackQueries, Accepted: true, Rank: 1, Rounds: 2})
+	tenant.Observe(obs.QualityEvent{Kind: obs.FeedbackQueries, Rank: -1})
 	return QualityReport{
 		QualityStats: q.Snapshot(),
 		Tenants: map[string]obs.QualityStats{

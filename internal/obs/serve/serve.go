@@ -309,7 +309,7 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if !follow {
+		if !follow || wait == nil { // no stream: nothing will follow
 			return
 		}
 		select {

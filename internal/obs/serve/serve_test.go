@@ -319,6 +319,27 @@ func TestTraceStreamDumpAndFollow(t *testing.T) {
 	cancel() // client walks away; the handler unblocks via r.Context()
 }
 
+// TestTraceStreamFollowWithoutStream: with no stream configured nothing
+// can ever arrive, so a follow request ends after its first (empty)
+// pass instead of spinning until the client leaves.
+func TestTraceStreamFollowWithoutStream(t *testing.T) {
+	s := New(Config{})
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace/stream?follow=1", nil))
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("/trace/stream?follow=1 without a stream did not return")
+	}
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("got %d %q, want an empty 200", rec.Code, rec.Body.String())
+	}
+}
+
 func TestDecisionsEndpoint(t *testing.T) {
 	log := obs.NewDecisionLog()
 	log.Record(obs.Decision{Stage: "suggest.columns", Candidate: "Geocoder→zip", Action: obs.ActionSuggested, Rank: 0})

@@ -7,8 +7,8 @@ import (
 
 // WindowHistogram is a rolling-window latency histogram: a ring of
 // sub-window bucket arrays that rotates with the time its callers pass
-// in, so Snapshot reports only the last Window of behaviour instead of
-// everything since boot. It backs the SLO tracker's burn-rate math.
+// in, so its quantiles and threshold counts cover only the last Window
+// of behaviour instead of everything since boot. It backs the SLO tracker's burn-rate math.
 //
 // Rotation is driven entirely by the instants callers pass — fed from a
 // VirtualClock the whole window mechanism is deterministic. The bucket
@@ -27,7 +27,6 @@ type WindowHistogram struct {
 type windowSlot struct {
 	counts []int64 // len(bounds)+1; last is overflow
 	count  int64
-	sum    int64 // nanoseconds
 }
 
 // NewWindowHistogram creates a rolling histogram covering `window` of
@@ -103,7 +102,6 @@ func (s *windowSlot) clear() {
 		s.counts[i] = 0
 	}
 	s.count = 0
-	s.sum = 0
 }
 
 // Observe records one duration, finished at now, into the live
@@ -121,7 +119,6 @@ func (w *WindowHistogram) Observe(now time.Time, d time.Duration) {
 	s := &w.slots[w.head]
 	s.counts[i]++
 	s.count++
-	s.sum += d.Nanoseconds()
 	w.mu.Unlock()
 }
 
@@ -139,33 +136,19 @@ func bucketIndex(bounds []time.Duration, d time.Duration) int {
 	return lo
 }
 
-// merged folds every live sub-window into one counts array. Callers
-// hold w.mu.
-func (w *WindowHistogram) merged() ([]int64, int64, int64) {
+// merged folds every live sub-window into one counts array and
+// returns it with the total count. Callers hold w.mu.
+func (w *WindowHistogram) merged() ([]int64, int64) {
 	counts := make([]int64, len(w.bounds)+1)
-	var count, sum int64
+	var count int64
 	for i := range w.slots {
 		s := &w.slots[i]
 		for j, n := range s.counts {
 			counts[j] += n
 		}
 		count += s.count
-		sum += s.sum
 	}
-	return counts, count, sum
-}
-
-// Count reports the number of observations inside the window ending at
-// now.
-func (w *WindowHistogram) Count(now time.Time) int64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rotate(now)
-	_, count, _ := w.merged()
-	return count
+	return counts, count
 }
 
 // Quantile estimates the q-th quantile over the window ending at now,
@@ -177,7 +160,7 @@ func (w *WindowHistogram) Quantile(now time.Time, q float64) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rotate(now)
-	counts, _, _ := w.merged()
+	counts, _ := w.merged()
 	return quantileFromCounts(w.bounds, counts, q)
 }
 
@@ -194,42 +177,10 @@ func (w *WindowHistogram) AboveThreshold(now time.Time, threshold time.Duration)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rotate(now)
-	counts, count, _ := w.merged()
+	counts, count := w.merged()
 	cut := bucketIndex(w.bounds, threshold) // buckets <= cut are within threshold's covering bound
 	for i := cut + 1; i < len(counts); i++ {
 		above += counts[i]
 	}
 	return above, count
-}
-
-// Snapshot copies the merged state of the window ending at now, with
-// the headline quantiles pre-computed — the same shape as a cumulative
-// histogram's snapshot, so render paths need not care which kind they
-// display.
-func (w *WindowHistogram) Snapshot(now time.Time) HistogramSnapshot {
-	if w == nil {
-		return HistogramSnapshot{}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rotate(now)
-	counts, count, sum := w.merged()
-	snap := HistogramSnapshot{
-		Count: count,
-		SumNs: sum,
-		P50Ns: quantileFromCounts(w.bounds, counts, 0.50).Nanoseconds(),
-		P95Ns: quantileFromCounts(w.bounds, counts, 0.95).Nanoseconds(),
-		P99Ns: quantileFromCounts(w.bounds, counts, 0.99).Nanoseconds(),
-	}
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		le := int64(-1)
-		if i < len(w.bounds) {
-			le = w.bounds[i].Nanoseconds()
-		}
-		snap.Buckets = append(snap.Buckets, BucketSnapshot{LeNs: le, Count: n})
-	}
-	return snap
 }

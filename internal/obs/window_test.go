@@ -17,31 +17,31 @@ func TestWindowHistogramRotation(t *testing.T) {
 
 	w.Observe(clock.Now(), 5*time.Millisecond)
 	w.Observe(clock.Now(), 50*time.Millisecond)
-	if got := w.Count(clock.Now()); got != 2 {
+	if got := windowCount(w, clock.Now()); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
 
 	// 30s later both observations are still inside the window.
 	clock.Advance(30 * time.Second)
 	w.Observe(clock.Now(), 5*time.Millisecond)
-	if got := w.Count(clock.Now()); got != 3 {
+	if got := windowCount(w, clock.Now()); got != 3 {
 		t.Fatalf("count after 30s = %d, want 3", got)
 	}
 
 	// 45s more: the first two (age 75s) expired, the third (45s) remains.
 	clock.Advance(45 * time.Second)
-	if got := w.Count(clock.Now()); got != 1 {
+	if got := windowCount(w, clock.Now()); got != 1 {
 		t.Fatalf("count after 75s = %d, want 1", got)
 	}
 
 	// A jump far past the window clears everything.
 	clock.Advance(10 * time.Minute)
-	if got := w.Count(clock.Now()); got != 0 {
+	if got := windowCount(w, clock.Now()); got != 0 {
 		t.Fatalf("count after 10m idle = %d, want 0", got)
 	}
 	// And the ring still accepts fresh observations afterwards.
 	w.Observe(clock.Now(), time.Millisecond)
-	if got := w.Count(clock.Now()); got != 1 {
+	if got := windowCount(w, clock.Now()); got != 1 {
 		t.Fatalf("count after restart = %d, want 1", got)
 	}
 }
@@ -71,35 +71,35 @@ func TestWindowHistogramSnapshotQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		w.Observe(clock.Now(), 2*time.Millisecond)
 	}
-	snap := w.Snapshot(clock.Now())
-	if snap.Count != 100 {
-		t.Fatalf("snapshot count = %d", snap.Count)
+	if n := windowCount(w, clock.Now()); n != 100 {
+		t.Fatalf("count = %d", n)
 	}
-	if p99 := snap.P99(); p99 <= 0 || p99 > 2500*time.Microsecond {
+	if p99 := w.Quantile(clock.Now(), 0.99); p99 <= 0 || p99 > 2500*time.Microsecond {
 		t.Fatalf("p99 = %v, want in (0, 2.5ms]", p99)
 	}
-	if snap.SumNs != (200 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("sum = %d", snap.SumNs)
-	}
-	// Slide the whole window past the observations: empty snapshot.
+	// Slide the whole window past the observations: empty.
 	clock.Advance(2 * time.Minute)
-	if snap := w.Snapshot(clock.Now()); snap.Count != 0 || len(snap.Buckets) != 0 {
-		t.Fatalf("expired snapshot = %+v, want empty", snap)
+	if n := windowCount(w, clock.Now()); n != 0 || w.Quantile(clock.Now(), 0.99) != 0 {
+		t.Fatalf("expired window holds %d observations, want none", n)
 	}
+}
+
+// windowCount is the number of observations inside the window ending
+// at now.
+func windowCount(w *WindowHistogram, now time.Time) int64 {
+	_, total := w.AboveThreshold(now, 0)
+	return total
 }
 
 func TestWindowHistogramNil(t *testing.T) {
 	clock := NewVirtualClock()
 	var w *WindowHistogram
 	w.Observe(clock.Now(), time.Second) // must not panic
-	if w.Count(clock.Now()) != 0 || w.Quantile(clock.Now(), 0.99) != 0 || w.Window() != 0 {
+	if windowCount(w, clock.Now()) != 0 || w.Quantile(clock.Now(), 0.99) != 0 || w.Window() != 0 {
 		t.Fatal("nil WindowHistogram should read as zero")
 	}
 	if above, total := w.AboveThreshold(clock.Now(), time.Millisecond); above != 0 || total != 0 {
 		t.Fatal("nil AboveThreshold should be zero")
-	}
-	if snap := w.Snapshot(clock.Now()); snap.Count != 0 {
-		t.Fatal("nil Snapshot should be empty")
 	}
 }
 
@@ -114,14 +114,14 @@ func TestWindowHistogramConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				w.Observe(clock.Now(), time.Duration(i%20)*time.Millisecond)
 				if i%50 == 0 {
-					_ = w.Snapshot(clock.Now())
+					_ = w.Quantile(clock.Now(), 0.99)
 					_, _ = w.AboveThreshold(clock.Now(), 10*time.Millisecond)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := w.Count(clock.Now()); got != 2000 {
+	if got := windowCount(w, clock.Now()); got != 2000 {
 		t.Fatalf("count = %d, want 2000", got)
 	}
 }
@@ -237,11 +237,11 @@ func TestWindowHistogramLargeClockJumps(t *testing.T) {
 	// without walking the ring step by step.
 	w.Observe(clock.Now(), 5*time.Millisecond)
 	clock.Set(clock.Now().Add(5000 * time.Minute))
-	if got := w.Count(clock.Now()); got != 0 {
+	if got := windowCount(w, clock.Now()); got != 0 {
 		t.Fatalf("count after 5000-window jump = %d, want 0", got)
 	}
 	w.Observe(clock.Now(), 50*time.Millisecond)
-	if got := w.Count(clock.Now()); got != 1 {
+	if got := windowCount(w, clock.Now()); got != 1 {
 		t.Fatalf("count after landing = %d, want 1", got)
 	}
 
@@ -251,24 +251,24 @@ func TestWindowHistogramLargeClockJumps(t *testing.T) {
 	clock.Set(clock.Now().Add(30 * time.Second))
 	w.Observe(clock.Now(), 5*time.Millisecond)
 	clock.Set(clock.Now().Add(30 * time.Second))
-	if got := w.Count(clock.Now()); got != 1 {
+	if got := windowCount(w, clock.Now()); got != 1 {
 		t.Fatalf("count at exactly one window = %d, want 1 (old slot expired)", got)
 	}
 
 	// A backwards jump (virtual clock injected after construction) resets
 	// and re-anchors instead of stalling until the clock catches up.
 	clock.Set(time.Unix(0, 0))
-	if got := w.Count(clock.Now()); got != 0 {
+	if got := windowCount(w, clock.Now()); got != 0 {
 		t.Fatalf("count after backwards jump = %d, want 0", got)
 	}
 	w.Observe(clock.Now(), time.Millisecond)
 	w.Observe(clock.Now(), 200*time.Millisecond)
-	if got := w.Count(clock.Now()); got != 2 {
+	if got := windowCount(w, clock.Now()); got != 2 {
 		t.Fatalf("count on the re-anchored timeline = %d, want 2", got)
 	}
 	// The re-anchored timeline rotates normally from here.
 	clock.Set(time.Unix(0, 0).Add(61 * time.Second))
-	if got := w.Count(clock.Now()); got != 0 {
+	if got := windowCount(w, clock.Now()); got != 0 {
 		t.Fatalf("count one window after re-anchor = %d, want 0", got)
 	}
 	if above, total := w.AboveThreshold(clock.Now(), 10*time.Millisecond); above != 0 || total != 0 {
@@ -287,11 +287,11 @@ func TestWindowHistogramLateObservation(t *testing.T) {
 	w.Observe(t0, time.Millisecond)
 	w.Observe(t0.Add(slot), time.Millisecond)
 	w.Observe(t0.Add(slot-time.Nanosecond), time.Millisecond)
-	if got := w.Count(t0.Add(slot)); got != 3 {
+	if got := windowCount(w, t0.Add(slot)); got != 3 {
 		t.Fatalf("count after a late observation = %d, want 3", got)
 	}
 	// A late read (e.g. a scrape) changes nothing either.
-	if got := w.Count(t0.Add(slot - time.Nanosecond)); got != 3 {
+	if got := windowCount(w, t0.Add(slot-time.Nanosecond)); got != 3 {
 		t.Fatalf("count read at a late instant = %d, want 3", got)
 	}
 }

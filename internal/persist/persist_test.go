@@ -12,7 +12,7 @@ import (
 	"copycat/internal/workspace"
 )
 
-func buildState(t *testing.T) (*catalog.Catalog, *modellearn.Library, *sourcegraph.Graph) {
+func buildState(t testing.TB) (*catalog.Catalog, *modellearn.Library, *sourcegraph.Graph) {
 	t.Helper()
 	w := webworld.Generate(webworld.DefaultConfig())
 	cat := catalog.New()

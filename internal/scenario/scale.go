@@ -18,6 +18,32 @@ import (
 // (SPCSH now, exact refine in background) path.
 const scaleChainCities = 8
 
+// LoadChains loads stitching chains into a new catalog — each chain's
+// fragments as narrow sources and its stale mirror — and joins them in
+// a source graph over it: fresh hops at cost 0.6, the stale shortcut at
+// 0.45 a hop.
+func LoadChains(chains []webworld.StitchChain) (*catalog.Catalog, *sourcegraph.Graph) {
+	cat := catalog.New()
+	g := sourcegraph.New(cat)
+	for _, ch := range chains {
+		for _, rel := range ch.Rels {
+			addRel(cat, rel.Name, "fragment", rel.Cols, rel.Rows)
+		}
+		addRel(cat, ch.Decoy.Name, "stale-mirror", ch.Decoy.Cols, ch.Decoy.Rows)
+		for i := 0; i+1 < len(ch.Rels); i++ {
+			key := ch.Rels[i].Cols[len(ch.Rels[i].Cols)-1]
+			g.AddEdge(sourcegraph.Edge{From: ch.Rels[i].Name, To: ch.Rels[i+1].Name,
+				Kind: sourcegraph.KindJoin, FromCols: []string{key}, ToCols: []string{key}, Cost: 0.6})
+		}
+		first, last := ch.Rels[0], ch.Rels[len(ch.Rels)-1]
+		g.AddEdge(sourcegraph.Edge{From: first.Name, To: ch.Decoy.Name,
+			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[0]}, ToCols: []string{ch.Decoy.Cols[0]}, Cost: 0.45})
+		g.AddEdge(sourcegraph.Edge{From: ch.Decoy.Name, To: last.Name,
+			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[1]}, ToCols: []string{ch.Decoy.Cols[1]}, Cost: 0.45})
+	}
+	return cat, g
+}
+
 // scaleStitch is the 10x-world scenario: a scaled webworld's stitching
 // chains loaded as narrow fragment sources, queried end to end. The
 // graph is large enough that TopQueries answers from the SPCSH heuristic
@@ -37,28 +63,11 @@ func scaleStitch(cfg Config) Scenario {
 	wcfg.Seed = cfg.Seed
 	w := webworld.Generate(wcfg)
 
-	cat := catalog.New()
 	chains := w.Chains
 	if len(chains) > scaleChainCities {
 		chains = chains[:scaleChainCities]
 	}
-	g := sourcegraph.New(cat)
-	for _, ch := range chains {
-		for _, rel := range ch.Rels {
-			addRel(cat, rel.Name, "fragment", rel.Cols, rel.Rows)
-		}
-		addRel(cat, ch.Decoy.Name, "stale-mirror", ch.Decoy.Cols, ch.Decoy.Rows)
-		for i := 0; i+1 < len(ch.Rels); i++ {
-			key := ch.Rels[i].Cols[len(ch.Rels[i].Cols)-1]
-			g.AddEdge(sourcegraph.Edge{From: ch.Rels[i].Name, To: ch.Rels[i+1].Name,
-				Kind: sourcegraph.KindJoin, FromCols: []string{key}, ToCols: []string{key}, Cost: 0.6})
-		}
-		first, last := ch.Rels[0], ch.Rels[len(ch.Rels)-1]
-		g.AddEdge(sourcegraph.Edge{From: first.Name, To: ch.Decoy.Name,
-			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[0]}, ToCols: []string{ch.Decoy.Cols[0]}, Cost: 0.45})
-		g.AddEdge(sourcegraph.Edge{From: ch.Decoy.Name, To: last.Name,
-			Kind: sourcegraph.KindJoin, FromCols: []string{ch.Decoy.Cols[1]}, ToCols: []string{ch.Decoy.Cols[1]}, Cost: 0.45})
-	}
+	cat, g := LoadChains(chains)
 
 	target := chains[0]
 	lrn := intlearn.New(g)

@@ -91,9 +91,9 @@ func TestQualityDecisionLog(t *testing.T) {
 // TestRenderQuality pins the :quality report format.
 func TestRenderQuality(t *testing.T) {
 	q := obs.NewQualityTracker()
-	q.Accept(obs.FeedbackColumns, 1, 2)
-	q.Reject(obs.FeedbackQueries)
-	q.UndoAccept(obs.FeedbackColumns)
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Accepted: true, Rank: 1, Rounds: 2})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackQueries, Rank: -1})
+	q.Observe(obs.QualityEvent{Kind: obs.FeedbackColumns, Undo: true, Rank: -1})
 	out := RenderQuality(q.Snapshot())
 	for _, want := range []string{
 		"suggestion quality: 1 accepts / 1 rejects (acceptance rate 0.500)",
