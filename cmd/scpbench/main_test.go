@@ -35,14 +35,19 @@ func capture(t *testing.T, fn func() error) (string, error) {
 }
 
 // TestEveryExperimentRuns locks the whole harness green: each experiment
-// must complete without error and print a table.
+// must complete without error and print a table. The overhead
+// experiment is followed by one subtest per arm that replaced a former
+// overhead experiment (pipeline, serve, flight), checking that the arm
+// was measured and gated.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run is slow")
 	}
 	for _, e := range experiments {
 		e := e
+		var rep report
 		t.Run(e.name, func(t *testing.T) {
+			jsonReport = nil
 			out, err := capture(t, e.run)
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.name, err)
@@ -50,8 +55,72 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if !strings.Contains(out, "|") {
 				t.Errorf("%s printed no table:\n%s", e.name, out)
 			}
+			rep, _ = jsonReport.(report)
 		})
+		if e.name == "overhead" {
+			checkOverheadArms(t, rep)
+		}
 	}
+}
+
+// checkOverheadArms runs one subtest per former overhead experiment,
+// named by its old id, over the arm of the overhead report that now
+// measures it. When the overhead subtest was filtered out by -run, the
+// first arm subtest runs the experiment itself.
+func checkOverheadArms(t *testing.T, rep report) {
+	var res overheadReport
+	arm := func(t *testing.T, name, base string, budget float64) {
+		t.Helper()
+		if rep.Result == nil {
+			jsonReport = nil
+			if _, err := capture(t, expOverhead); err != nil {
+				t.Fatalf("overhead failed: %v", err)
+			}
+			rep, _ = jsonReport.(report)
+		}
+		if res, _ = rep.Result.(overheadReport); len(res.Arms) == 0 {
+			t.Fatal("the overhead experiment produced no report")
+		}
+		var found bool
+		for _, a := range res.Arms {
+			if a.Arm != name {
+				continue
+			}
+			found = true
+			if a.Base != base || a.Budget != budget || a.CPUNs <= 0 {
+				t.Errorf("arm %s = %+v, want base %s, budget %g and CPU time measured", name, a, base, budget)
+			}
+		}
+		if !found {
+			t.Fatalf("no %s arm in %+v", name, res.Arms)
+		}
+		path := "arms.arm=" + name + ".overhead_frac"
+		for _, g := range rep.Gates {
+			if g.Gate == path {
+				return
+			}
+		}
+		t.Errorf("no gate on %s in %+v", path, rep.Gates)
+	}
+	t.Run("pipeline", func(t *testing.T) {
+		arm(t, "traced", "plain", 0.10)
+		if res.Spans == 0 {
+			t.Error("the traced pipeline pass exported no spans")
+		}
+	})
+	t.Run("serve", func(t *testing.T) {
+		arm(t, "served", "recorded", 0.10)
+		if res.ConcurrentScrapes < 1 || res.ScrapeBytes == 0 || res.Series == 0 {
+			t.Errorf("served arm scraped %d times concurrently, body %d bytes, %d series",
+				res.ConcurrentScrapes, res.ScrapeBytes, res.Series)
+		}
+	})
+	t.Run("flight", func(t *testing.T) {
+		arm(t, "recorded", "traced", 0.02)
+		if res.RetainedSpans == 0 || res.RetainedDecisions == 0 {
+			t.Errorf("recorder retained %d spans and %d decisions", res.RetainedSpans, res.RetainedDecisions)
+		}
+	})
 }
 
 // Per-experiment shape assertions on the printed tables.
